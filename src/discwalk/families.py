@@ -16,8 +16,12 @@ expansions, used as ground-truth fixtures everywhere else:
                    (q-1)_n (b)_m t^m s^n/(m! n!) at key (m+n, n).
 
 Series evaluators sum the defining double/triple series with multiplicative
-term recurrences, stopping once three consecutive row/term maxima fall below
-1e-13 of the partial sum, with a hard cap of 200 terms per index.
+term recurrences over the whole array of evaluation points at once.  The
+stopping rule is per point: a point stops accumulating once three consecutive
+row/term maxima fall below 1e-13 of its own partial sum, with a hard cap of
+200 terms per index, so each value is the one a single-point call computes.
+Closed-form coefficient tables take their factorial and Pochhammer ratios in
+log space, so large tables underflow to zero instead of overflowing.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .positivity import IndexSet, difference_set
 from .quadrature import DiskRule, expand
-from .special import disc_norm_h, ensure_in_disk, pochhammer
+from .special import disc_norm_h, ensure_in_disk
 from .tables import CoefficientTable
 
 _SERIES_RTOL = 1e-13
@@ -217,101 +221,162 @@ def family_from_dict(doc: dict) -> FamilySpec:
 # closed-form evaluation
 
 
-def _horn_h4(a: float, b: float, c: float, d: float, x: complex, y: complex) -> complex:
-    """H4-type double series sum_{m,n} (a)_{2m+n} (b)_n / ((c)_m (d)_n) x^m y^n / (m! n!)."""
-    total = 0j
-    row_head = 1.0 + 0j  # term at (m, 0)
-    quiet_rows = 0
+_ROW_BLOCK = 16  # terms per vectorised step of an innermost series row
+
+
+def _sum_row(head, w, num, den, base, what: str):
+    """Innermost series rows for every point at once.
+
+    Point i sums term_0 = head[i], term_k = term_{k-1} * (num[k-1] w[i]) / den[k-1]
+    for k = 1.._SERIES_CAP, and stops after its own third consecutive term
+    with |term_k| <= _SERIES_RTOL * max(1, |base[i] + partial sum|).  Terms
+    come _ROW_BLOCK at a time through sequential ``accumulate`` calls, so each
+    point's partial sums are those of the one-term-at-a-time loop; terms past
+    a point's stop are discarded.  Returns (row sums, max |term| per row).
+    """
+    size = head.size
+    row_sum = np.empty(size, dtype=complex)
+    row_max = np.empty(size)
+    pos = np.arange(size)  # points whose row is still running
+    term, acc, peak = head, head, np.abs(head)
+    quiet = np.zeros(size, dtype=int)  # trailing quiet terms, 0..2
+    for k0 in range(0, _SERIES_CAP, _ROW_BLOCK):
+        k1 = min(k0 + _ROW_BLOCK, _SERIES_CAP)
+        # (num w) / den taken per component, as Python rounds float * complex / float
+        steps = np.empty((k1 - k0 + 1, pos.size), dtype=complex)
+        steps[0] = term
+        steps[1:].real = num[k0:k1, None] * w.real[pos] / den[k0:k1, None]
+        steps[1:].imag = num[k0:k1, None] * w.imag[pos] / den[k0:k1, None]
+        terms = np.multiply.accumulate(steps, axis=0)
+        steps[0] = acc
+        steps[1:] = terms[1:]
+        sums = np.add.accumulate(steps, axis=0)[1:]
+        terms = terms[1:]
+        mag = np.abs(terms)
+        flags = np.empty((k1 - k0 + 2, pos.size), dtype=bool)
+        flags[0] = quiet >= 2
+        flags[1] = quiet >= 1
+        flags[2:] = mag <= _SERIES_RTOL * np.maximum(1.0, np.abs(base[pos] + sums))
+        stop = flags[2:] & flags[1:-1] & flags[:-2]
+        done = stop.any(axis=0)
+        last = np.where(done, stop.argmax(axis=0), k1 - k0 - 1)
+        upto = np.arange(k1 - k0)[:, None] <= last
+        if np.any((mag > _SERIES_BLOWUP) & upto):
+            raise ConvergenceError("series terms diverge; parameters outside domain")
+        peak = np.maximum(peak, np.where(upto, mag, 0.0).max(axis=0))
+        cols = np.flatnonzero(done)
+        row_sum[pos[cols]] = sums[last[cols], cols]
+        row_max[pos[cols]] = peak[cols]
+        live = ~done
+        if not live.any():
+            return row_sum, row_max
+        pos, term, acc, peak = pos[live], terms[-1, live], sums[-1, live], peak[live]
+        quiet = np.where(flags[-1, live], np.where(flags[-2, live], 2, 1), 0)
+    raise ConvergenceError(f"{what} failed to converge within the term cap")
+
+
+def _flat_broadcast(*args):
+    """Broadcast series arguments to flat complex arrays; also the output shape."""
+    arrs = np.broadcast_arrays(*(np.asarray(a, dtype=complex) for a in args))
+    return [a.ravel() for a in arrs], arrs[0].shape
+
+
+def _horn_h4(a: float, b: float, c: float, d: float, x, y):
+    """H4-type double series sum_{m,n} (a)_{2m+n} (b)_n / ((c)_m (d)_n) x^m y^n / (m! n!).
+
+    ``x`` and ``y`` are scalars or arrays (broadcast together); each point
+    stops on its own after three quiet rows.  Scalar arguments give a complex.
+    """
+    (x, y), shape = _flat_broadcast(x, y)
+    out = np.empty(x.size, dtype=complex)
+    idx = np.arange(x.size)  # points whose outer series is still running
+    total = np.zeros(x.size, dtype=complex)
+    row_head = np.ones(x.size, dtype=complex)  # term at (m, 0)
+    quiet_rows = np.zeros(x.size, dtype=int)
+    k = np.arange(1.0, _SERIES_CAP + 1)
     for m in range(_SERIES_CAP + 1):
         if m > 0:
-            row_head *= (a + 2 * m - 2) * (a + 2 * m - 1) * x / ((c + m - 1) * m)
-        term = row_head
-        row_sum = term
-        row_max = abs(term)
-        quiet = 0
-        for n in range(1, _SERIES_CAP + 1):
-            term *= (a + 2 * m + n - 1) * (b + n - 1) * y / ((d + n - 1) * n)
-            row_sum += term
-            row_max = max(row_max, abs(term))
-            if abs(term) > _SERIES_BLOWUP:
-                raise ConvergenceError("series terms diverge; parameters outside domain")
-            if abs(term) <= _SERIES_RTOL * max(1.0, abs(total + row_sum)):
-                quiet += 1
-                if quiet >= 3:
-                    break
-            else:
-                quiet = 0
-        else:
-            raise ConvergenceError("inner series failed to converge within the term cap")
-        total += row_sum
-        if row_max > _SERIES_BLOWUP:
+            row_head = row_head * ((a + 2 * m - 2) * (a + 2 * m - 1) * x / ((c + m - 1) * m))
+        row_sum, row_max = _sum_row(
+            row_head, y, (a + 2 * m + k - 1) * (b + k - 1), (d + k - 1) * k, total, "inner series"
+        )
+        total = total + row_sum
+        if np.any(row_max > _SERIES_BLOWUP):
             raise ConvergenceError("series rows diverge; parameters outside domain")
-        if row_max <= _SERIES_RTOL * max(1.0, abs(total)):
-            quiet_rows += 1
-            if quiet_rows >= 3:
-                return total
-        else:
-            quiet_rows = 0
+        quiet_rows = np.where(row_max <= _SERIES_RTOL * np.maximum(1.0, np.abs(total)), quiet_rows + 1, 0)
+        done = quiet_rows >= 3
+        out[idx[done]] = total[done]
+        live = ~done
+        if not live.any():
+            return complex(out[0]) if shape == () else out.reshape(shape)
+        idx, x, y, total, row_head, quiet_rows = (
+            v[live] for v in (idx, x, y, total, row_head, quiet_rows)
+        )
     raise ConvergenceError("outer series failed to converge within the term cap")
 
 
 def _lauricella_f14(
-    a1: float, b1: float, b2: float, c1: float, c2: float,
-    x1: complex, x2: complex, x3: complex,
-) -> complex:
+    a1: float, b1: float, b2: float, c1: float, c2: float, x1, x2, x3,
+):
     """F14-type triple series
     sum (a1)_{m+n+p} (b1)_{m+p} (b2)_n / ((c1)_m (c2)_{n+p}) x1^m x2^n x3^p / (m! n! p!).
+
+    ``x1``, ``x2`` and ``x3`` are scalars or arrays (broadcast together); each
+    point stops on its own after three quiet p-terms, n-rows and m-blocks.
+    Scalar arguments give a complex.
     """
-    total = 0j
-    m_head = 1.0 + 0j  # term at (m, 0, 0)
-    quiet_m = 0
+    (x1, x2, x3), shape = _flat_broadcast(x1, x2, x3)
+    out = np.empty(x1.size, dtype=complex)
+    idx = np.arange(x1.size)  # points whose m-series is still running
+    total = np.zeros(x1.size, dtype=complex)
+    m_head = np.ones(x1.size, dtype=complex)  # term at (m, 0, 0)
+    quiet_m = np.zeros(x1.size, dtype=int)
+    k = np.arange(1.0, _SERIES_CAP + 1)
     for m in range(_SERIES_CAP + 1):
         if m > 0:
-            m_head *= (a1 + m - 1) * (b1 + m - 1) * x1 / ((c1 + m - 1) * m)
-        block_sum = 0j
-        block_max = 0.0
+            m_head = m_head * ((a1 + m - 1) * (b1 + m - 1) * x1 / ((c1 + m - 1) * m))
+        size = idx.size
+        block_sum = np.empty(size, dtype=complex)
+        block_max = np.empty(size)
+        pos = np.arange(size)  # points whose n-series is still running
+        b_sum = np.zeros(size, dtype=complex)
+        b_max = np.zeros(size)
         n_head = m_head  # term at (m, n, 0)
-        quiet_n = 0
+        quiet_n = np.zeros(size, dtype=int)
         for n in range(_SERIES_CAP + 1):
             if n > 0:
-                n_head *= (a1 + m + n - 1) * (b2 + n - 1) * x2 / ((c2 + n - 1) * n)
-            term = n_head
-            row_sum = term
-            row_max = abs(term)
-            quiet_p = 0
-            for p in range(1, _SERIES_CAP + 1):
-                term *= (a1 + m + n + p - 1) * (b1 + m + p - 1) * x3 / ((c2 + n + p - 1) * p)
-                row_sum += term
-                row_max = max(row_max, abs(term))
-                if abs(term) > _SERIES_BLOWUP:
-                    raise ConvergenceError("series terms diverge; parameters outside domain")
-                if abs(term) <= _SERIES_RTOL * max(1.0, abs(total + block_sum + row_sum)):
-                    quiet_p += 1
-                    if quiet_p >= 3:
-                        break
-                else:
-                    quiet_p = 0
-            else:
-                raise ConvergenceError("p-series failed to converge within the term cap")
-            block_sum += row_sum
-            block_max = max(block_max, row_max)
-            if row_max <= _SERIES_RTOL * max(1.0, abs(total + block_sum)):
-                quiet_n += 1
-                if quiet_n >= 3:
-                    break
-            else:
-                quiet_n = 0
+                n_head = n_head * ((a1 + m + n - 1) * (b2 + n - 1) * x2[pos] / ((c2 + n - 1) * n))
+            row_sum, row_max = _sum_row(
+                n_head, x3[pos],
+                (a1 + m + n + k - 1) * (b1 + m + k - 1), (c2 + n + k - 1) * k,
+                total[pos] + b_sum, "p-series",
+            )
+            b_sum = b_sum + row_sum
+            b_max = np.maximum(b_max, row_max)
+            quiet_n = np.where(
+                row_max <= _SERIES_RTOL * np.maximum(1.0, np.abs(total[pos] + b_sum)), quiet_n + 1, 0
+            )
+            done = quiet_n >= 3
+            block_sum[pos[done]] = b_sum[done]
+            block_max[pos[done]] = b_max[done]
+            live = ~done
+            if not live.any():
+                break
+            pos, n_head, b_sum, b_max, quiet_n = (v[live] for v in (pos, n_head, b_sum, b_max, quiet_n))
         else:
             raise ConvergenceError("n-series failed to converge within the term cap")
-        total += block_sum
-        if block_max > _SERIES_BLOWUP:
+        total = total + block_sum
+        if np.any(block_max > _SERIES_BLOWUP):
             raise ConvergenceError("series blocks diverge; parameters outside domain")
-        if block_max <= _SERIES_RTOL * max(1.0, abs(total)):
-            quiet_m += 1
-            if quiet_m >= 3:
-                return total
-        else:
-            quiet_m = 0
+        quiet_m = np.where(block_max <= _SERIES_RTOL * np.maximum(1.0, np.abs(total)), quiet_m + 1, 0)
+        done = quiet_m >= 3
+        out[idx[done]] = total[done]
+        live = ~done
+        if not live.any():
+            return complex(out[0]) if shape == () else out.reshape(shape)
+        idx, x1, x2, x3, total, m_head, quiet_m = (
+            v[live] for v in (idx, x1, x2, x3, total, m_head, quiet_m)
+        )
     raise ConvergenceError("m-series failed to converge within the term cap")
 
 
@@ -338,29 +403,12 @@ def eval_family(spec: FamilySpec, z):
     elif isinstance(spec, Horn):
         xs = spec.s * (np.abs(arr) ** 2 - 1.0) / (1.0 - spec.s) ** 2
         ys = spec.t * np.conj(arr) / (1.0 - spec.s)
-        flat = np.array(
-            [
-                _horn_h4(q - 1.0, float(spec.b), q - 1.0, q - 1.0, complex(xv), complex(yv))
-                for xv, yv in zip(np.ravel(xs), np.ravel(ys))
-            ],
-            dtype=complex,
-        )
-        out = flat.reshape(arr.shape) / (1.0 - spec.s) ** (q - 1)
+        out = _horn_h4(q - 1.0, float(spec.b), q - 1.0, q - 1.0, xs, ys) / (1.0 - spec.s) ** (q - 1)
     elif isinstance(spec, Lauricella):
         x1 = spec.s * (np.abs(arr) ** 2 - 1.0)
         x2 = spec.t * arr
         x3 = spec.s * np.abs(arr) ** 2
-        flat = np.array(
-            [
-                _lauricella_f14(
-                    1.0, q - 1.0, float(spec.b), q - 1.0, 1.0,
-                    complex(a), complex(bv), complex(cv),
-                )
-                for a, bv, cv in zip(np.ravel(x1), np.ravel(x2), np.ravel(x3))
-            ],
-            dtype=complex,
-        )
-        out = flat.reshape(arr.shape)
+        out = _lauricella_f14(1.0, q - 1.0, float(spec.b), q - 1.0, 1.0, x1, x2, x3)
     else:  # pragma: no cover
         raise DomainError(f"unknown family spec {spec!r}")
     return complex(np.ravel(out)[0]) if scalar else np.asarray(out, dtype=complex)
@@ -371,11 +419,13 @@ def eval_family(spec: FamilySpec, z):
 
 
 def _exponential_coefficient(q: int, m: int, n: int) -> float:
-    # a_{m,n} = h_{m,n}^{q-2} (q-1)! sum_j 1/(j! (m+n+q-1+j)!); the inner sum
+    # a_{m,n} = h_{m,n}^{q-2} (q-1)! sum_j 1/(j! (m+n+q-1+j)!)
+    #         = h (q-1)!/nu! * sum_j nu!/(j! (nu+j)!),  nu = m+n+q-1; the prefactor
+    # is taken in log space so that no factorial overflows, and the inner sum
     # is summed to a 1e-15 relative tail (terms decay factorially).
     nu = m + n + q - 1
-    term = 1.0 / math.factorial(nu)
-    total = term
+    term = 1.0
+    total = 1.0
     j = 0
     while True:
         j += 1
@@ -383,7 +433,13 @@ def _exponential_coefficient(q: int, m: int, n: int) -> float:
         total += term
         if term <= 1e-15 * total:
             break
-    return disc_norm_h(m, n, float(q - 2)) * math.factorial(q - 1) * total
+    log_scale = math.log(disc_norm_h(m, n, float(q - 2))) + math.lgamma(q) - math.lgamma(nu + 1)
+    return math.exp(log_scale) * total
+
+
+def _log_poch(a: float, k: int) -> float:
+    """log of the rising factorial (a)_k for a > 0."""
+    return math.lgamma(a + k) - math.lgamma(a)
 
 
 def family_coefficients(
@@ -414,7 +470,10 @@ def family_coefficients(
             for key_m in range(key_n, m_max + 1):
                 m, n = key_m - key_n, key_n
                 entries[(key_m, key_n)] = complex(
-                    pochhammer(q - 1.0, n) * spec.t ** (m + n) / (math.factorial(m) * math.factorial(n))
+                    math.exp(
+                        _log_poch(q - 1.0, n) + (m + n) * math.log(spec.t)
+                        - math.lgamma(m + 1) - math.lgamma(n + 1)
+                    )
                 )
     elif isinstance(spec, Horn):
         # series index (m, n) lands at table key (m, m+n)
@@ -422,11 +481,11 @@ def family_coefficients(
             for key_n in range(key_m, n_max + 1):
                 m, n = key_m, key_n - key_m
                 entries[(key_m, key_n)] = complex(
-                    pochhammer(q + n - 1.0, m)
-                    * pochhammer(float(spec.b), n)
-                    * spec.t**n
-                    * spec.s**m
-                    / (math.factorial(m) * math.factorial(n))
+                    math.exp(
+                        _log_poch(q + n - 1.0, m) + _log_poch(float(spec.b), n)
+                        + n * math.log(spec.t) + m * math.log(spec.s)
+                        - math.lgamma(m + 1) - math.lgamma(n + 1)
+                    )
                 )
     elif isinstance(spec, Lauricella):
         # series index (m, n) lands at table key (m+n, n)
@@ -434,11 +493,11 @@ def family_coefficients(
             for key_m in range(key_n, m_max + 1):
                 m, n = key_m - key_n, key_n
                 entries[(key_m, key_n)] = complex(
-                    pochhammer(q - 1.0, n)
-                    * pochhammer(float(spec.b), m)
-                    * spec.t**m
-                    * spec.s**n
-                    / (math.factorial(m) * math.factorial(n))
+                    math.exp(
+                        _log_poch(q - 1.0, n) + _log_poch(float(spec.b), m)
+                        + m * math.log(spec.t) + n * math.log(spec.s)
+                        - math.lgamma(m + 1) - math.lgamma(n + 1)
+                    )
                 )
     else:  # pragma: no cover
         raise DomainError(f"unknown family spec {spec!r}")

@@ -332,8 +332,10 @@ def sample_sphere(q: int, count: int, seed: int = 42) -> SpherePointSet:
 def gram_matrix(f, pts: SpherePointSet) -> np.ndarray:
     """Gram matrix G[u][v] = f(<xi_u, xi_v>) over a sphere point set.
 
-    Positive definite f satisfies f(conj z) = conj(f(z)), which makes G
-    Hermitian; a warning is emitted if that fails beyond 1e-9.
+    ``f`` is called once, on the whole matrix of inner products, and must
+    accept ndarray input.  Positive definite f satisfies
+    f(conj z) = conj(f(z)), which makes G Hermitian; a warning is emitted if
+    that fails beyond 1e-9.
     """
     inner = pts.points @ pts.points.conj().T
     g = _values_on(f, inner)
@@ -347,16 +349,21 @@ def gram_matrix(f, pts: SpherePointSet) -> np.ndarray:
     return g
 
 
-def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix in ascending order, from one eigensolve."""
     h = np.asarray(h, dtype=complex)
     dev = float(np.max(np.abs(h - h.conj().T)))
     if dev > 1e-9:
         raise DomainError(f"matrix is not Hermitian within 1e-9 (deviation {dev:.3e})")
     try:
-        return float(np.linalg.eigvalsh(h)[0])
+        return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Hermitian eigensolve failed: {exc}") from exc
+
+
+def min_eigenvalue(h: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix."""
+    return float(hermitian_eigenvalues(h)[0])
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DiscWalkError, DomainError
 from .special import disc_norm_h, disc_poly, ensure_in_disk, jacobi_R_all
 from .tables import CoefficientTable
 
@@ -80,25 +80,38 @@ def default_rule(alpha: float, m_max: int, n_max: int) -> DiskRule:
 
 
 def _values_on(f, z: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array of points, tolerating scalar-only callables."""
+    """Evaluate f on an array of points in one call.
+
+    ``f`` must accept an ndarray of points and return values of the same
+    shape; a scalar result (a constant kernel) is broadcast.  A
+    :class:`DiscWalkError` raised by ``f`` propagates unchanged; any other
+    failure to evaluate on an array is a :class:`DomainError`.
+    """
     try:
-        vals = np.asarray(f(z), dtype=complex)
-        if vals.shape != z.shape:
-            vals = np.broadcast_to(vals, z.shape)
-        return np.array(vals, dtype=complex)
-    except (TypeError, ValueError):
-        flat = np.array([complex(f(w)) for w in z.ravel()], dtype=complex)
-        return flat.reshape(z.shape)
+        out = f(z)
+    except DiscWalkError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"kernel callable must accept an ndarray of points: {exc}") from exc
+    try:
+        return np.array(np.broadcast_to(np.asarray(out, dtype=complex), z.shape))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            f"kernel callable returned shape {np.shape(out)} for {z.shape} points"
+        ) from exc
 
 
 def integrate(rule: DiskRule, f) -> complex:
-    """Integral of f over the disk against dnu_alpha."""
+    """Integral of f over the disk against dnu_alpha; f must accept ndarray input."""
     vals = _values_on(f, rule.nodes)
     return complex(np.sum(rule.weights * vals))
 
 
 def extract_coefficient(f, m: int, n: int, rule: DiskRule) -> complex:
-    """Expansion coefficient a_{m,n} = h_{m,n} * int f conj(R_{m,n}) dnu."""
+    """Expansion coefficient a_{m,n} = h_{m,n} * int f conj(R_{m,n}) dnu.
+
+    ``f`` must accept ndarray input.
+    """
     z = rule.nodes
     vals = _values_on(f, z)
     basis = disc_poly(m, n, rule.alpha, z)
@@ -118,9 +131,11 @@ def _check_capacity(rule: DiskRule, m_max: int, n_max: int) -> None:
 def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None) -> CoefficientTable:
     """Extract all coefficients with m <= m_max, n <= n_max of f at parameter alpha.
 
-    Equivalent to calling :func:`extract_coefficient` per index, but exploits
-    the tensor structure of the rule: one angular Fourier sum per frequency
-    d = m - n, then radial Gauss sums against cached Jacobi rows.
+    ``f`` is called once, on the (radial, angular) node grid, and must accept
+    ndarray input.  Equivalent to calling :func:`extract_coefficient` per
+    index, but exploits the tensor structure of the rule: one angular Fourier
+    sum per frequency d = m - n, then radial Gauss sums against cached Jacobi
+    rows.
 
     The capacity check guarantees exactness for polynomial f up to the table
     degrees; for non-polynomial f the rule must also resolve f's own spectrum

@@ -130,3 +130,69 @@ def uniform_disk_points(rng: np.random.Generator, count: int, rmax: float = 1.0)
 def table_max_diff(a: CoefficientTable, b: CoefficientTable) -> float:
     keys = set(a.entries) | set(b.entries)
     return max((abs(a.get(*k) - b.get(*k)) for k in keys), default=0.0)
+
+
+def horn_h4_loop(a: float, b: float, c: float, d: float, x: complex, y: complex) -> complex:
+    """One-point, one-term-at-a-time H4 series with the library's stopping rule
+    (three quiet terms per row, three quiet rows, 1e-13 relative)."""
+    total = 0j
+    row_head = 1.0 + 0j
+    quiet_rows = 0
+    for m in range(201):
+        if m > 0:
+            row_head *= (a + 2 * m - 2) * (a + 2 * m - 1) * x / ((c + m - 1) * m)
+        term = row_sum = row_head
+        row_max = abs(term)
+        quiet = 0
+        for n in range(1, 201):
+            term *= (a + 2 * m + n - 1) * (b + n - 1) * y / ((d + n - 1) * n)
+            row_sum += term
+            row_max = max(row_max, abs(term))
+            quiet = quiet + 1 if abs(term) <= 1e-13 * max(1.0, abs(total + row_sum)) else 0
+            if quiet >= 3:
+                break
+        total += row_sum
+        quiet_rows = quiet_rows + 1 if row_max <= 1e-13 * max(1.0, abs(total)) else 0
+        if quiet_rows >= 3:
+            return total
+    raise AssertionError("reference H4 series did not converge")
+
+
+def lauricella_f14_loop(a1: float, b1: float, b2: float, c1: float, c2: float,
+                        x1: complex, x2: complex, x3: complex) -> complex:
+    """One-point, one-term-at-a-time F14 series with the library's stopping rule
+    (three quiet p-terms, n-rows and m-blocks, 1e-13 relative)."""
+    total = 0j
+    m_head = 1.0 + 0j
+    quiet_m = 0
+    for m in range(201):
+        if m > 0:
+            m_head *= (a1 + m - 1) * (b1 + m - 1) * x1 / ((c1 + m - 1) * m)
+        block_sum = 0j
+        block_max = 0.0
+        n_head = m_head
+        quiet_n = 0
+        for n in range(201):
+            if n > 0:
+                n_head *= (a1 + m + n - 1) * (b2 + n - 1) * x2 / ((c2 + n - 1) * n)
+            term = row_sum = n_head
+            row_max = abs(term)
+            quiet_p = 0
+            for p in range(1, 201):
+                term *= (a1 + m + n + p - 1) * (b1 + m + p - 1) * x3 / ((c2 + n + p - 1) * p)
+                row_sum += term
+                row_max = max(row_max, abs(term))
+                small = abs(term) <= 1e-13 * max(1.0, abs(total + block_sum + row_sum))
+                quiet_p = quiet_p + 1 if small else 0
+                if quiet_p >= 3:
+                    break
+            block_sum += row_sum
+            block_max = max(block_max, row_max)
+            quiet_n = quiet_n + 1 if row_max <= 1e-13 * max(1.0, abs(total + block_sum)) else 0
+            if quiet_n >= 3:
+                break
+        total += block_sum
+        quiet_m = quiet_m + 1 if block_max <= 1e-13 * max(1.0, abs(total)) else 0
+        if quiet_m >= 3:
+            return total
+    raise AssertionError("reference F14 series did not converge")

@@ -5,9 +5,20 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from discwalk import CoefficientTable, counterexample_table
+from discwalk import (
+    CoefficientTable,
+    Exponential,
+    counterexample_table,
+    eval_family,
+    family_coefficients,
+    gram_matrix,
+    make_family,
+    sample_sphere,
+    synthesize,
+)
 from discwalk import cli
 
 
@@ -283,3 +294,52 @@ def test_module_entrypoint_subprocess(tmp_path):
 def test_usage_error_exit_code():
     assert cli.main(["walk", "--op", "bogus", "--in", "x", "--out", "y"]) == 2
     assert cli.main([]) == 2
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    inner = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("source", ["builtin", "table"])
+def test_plot_data_rows_are_one_array_call_of_the_kernel(source, tmp_path, capsys, monkeypatch):
+    axis = np.linspace(-1.0, 1.0, 21)
+    z = np.array([complex(x, y) for x in axis for y in axis if x * x + y * y <= 1.0])
+    if source == "builtin":
+        argv = ["--builtin", "product", "--param", "m=2", "--param", "n=1", "--q", "3"]
+        want = eval_family(make_family("product", 3, {"m": 2, "n": 1}), z)
+        calls = _count_calls(monkeypatch, "eval_family")
+    else:
+        table = tmp_path / "t.json"
+        family_coefficients(Exponential(q=3), 6, 6).save(table)
+        argv = ["--in", str(table)]
+        want = synthesize(CoefficientTable.load(table), z)
+        calls = _count_calls(monkeypatch, "synthesize")
+    out = tmp_path / "p.csv"
+    assert run(capsys, "plot-data", *argv, "--grid", "21", "--out", str(out))[0] == 0
+    assert calls == [z.size]
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 21 * 21
+    inside = [row for row in rows if row[2]]
+    assert [complex(float(x), float(y)) for x, y, _, _ in inside] == z.tolist()
+    assert [complex(float(re), float(im)) for _, _, re, im in inside] == want.tolist()
+
+
+def test_gram_solves_once_and_prints_the_spectrum_ends(capsys, monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: calls.append(1) or eigvalsh(h))
+    rc, stdout, _ = run(
+        capsys, "gram", "--builtin", "aktas", "--param", "t=0.3", "--q", "3", "--points", "30", "--seed", "5"
+    )
+    assert rc == 0 and len(calls) == 1
+    spec = make_family("aktas", 3, {"t": 0.3})
+    evals = eigvalsh(gram_matrix(lambda z: eval_family(spec, z), sample_sphere(3, 30, 5)))
+    assert stdout == f"min_eigenvalue {float(evals[0])!r}\nmax_eigenvalue {float(evals[-1])!r}\nPASS\n"

@@ -31,7 +31,12 @@ from discwalk import (
     synthesize,
 )
 from discwalk.families import _horn_h4, _lauricella_f14
-from helpers import product_coefficient_closed, uniform_disk_points
+from helpers import (
+    horn_h4_loop,
+    lauricella_f14_loop,
+    product_coefficient_closed,
+    uniform_disk_points,
+)
 
 
 def test_sigma_values():
@@ -341,3 +346,109 @@ def test_family_json_round_trip_and_errors():
         make_family("poisson", 2, {})
     with pytest.raises(DomainError):
         make_family("aktas", 2, {"t": 0.3, "bogus": 1.0})
+
+
+# --------------------------------------------------------------------------
+# array evaluation of the series kernels
+
+
+_SERIES_SPECS = [Horn(t=0.1, s=0.1, b=2, q=q) for q in (2, 3, 4)] + [
+    Lauricella(t=0.2, s=0.1, b=2, q=q) for q in (2, 3, 4)
+]
+
+
+def _series_points() -> np.ndarray:
+    edge = [0j, 1 + 0j, -1j, np.exp(0.7j), -0.6 + 0.8j]
+    return np.concatenate([edge, uniform_disk_points(np.random.default_rng(2024), 11)])
+
+
+def _series_args(spec, z):
+    """(array series, one-point loop, constant arguments, point arguments) as in eval_family."""
+    q, r2 = spec.q, np.abs(z) ** 2
+    if isinstance(spec, Horn):
+        xs = spec.s * (r2 - 1.0) / (1.0 - spec.s) ** 2
+        ys = spec.t * np.conj(z) / (1.0 - spec.s)
+        return _horn_h4, horn_h4_loop, (q - 1.0, float(spec.b), q - 1.0, q - 1.0), (xs, ys)
+    consts = (1.0, q - 1.0, float(spec.b), q - 1.0, 1.0)
+    return _lauricella_f14, lauricella_f14_loop, consts, (spec.s * (r2 - 1.0), spec.t * z, spec.s * r2)
+
+
+@pytest.mark.parametrize("spec", _SERIES_SPECS, ids=repr)
+def test_series_array_matches_one_point_calls(spec):
+    z = _series_points()
+    got = eval_family(spec, z)
+    want = np.array([eval_family(spec, complex(w)) for w in z])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("spec", _SERIES_SPECS, ids=repr)
+def test_series_array_matches_one_term_loop(spec):
+    series, loop, consts, points = _series_args(spec, _series_points())
+    got = series(*consts, *points)
+    want = np.array([loop(*consts, *map(complex, pt)) for pt in zip(*points)])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_series_scalar_arguments_give_a_complex():
+    h = _horn_h4(2.0, 2.0, 2.0, 2.0, -0.05 + 0.01j, 0.1 - 0.02j)
+    f = _lauricella_f14(1.0, 2.0, 2.0, 2.0, 1.0, -0.05 + 0j, 0.1 + 0.1j, 0.05 + 0j)
+    assert type(h) is complex and type(f) is complex
+    assert h == pytest.approx(horn_h4_loop(2.0, 2.0, 2.0, 2.0, -0.05 + 0.01j, 0.1 - 0.02j), rel=1e-14)
+    assert f == pytest.approx(
+        lauricella_f14_loop(1.0, 2.0, 2.0, 2.0, 1.0, -0.05 + 0j, 0.1 + 0.1j, 0.05 + 0j), rel=1e-14
+    )
+
+
+def test_series_array_with_one_diverging_point_raises():
+    from discwalk import ConvergenceError
+
+    with pytest.raises(ConvergenceError):
+        _horn_h4(1.0, 2.0, 1.0, 1.0, np.array([0.1, 0.3]), np.array([0.1, 0.9]))
+    with pytest.raises(ConvergenceError):
+        _lauricella_f14(1.0, 1.0, 2.0, 1.0, 1.0, np.zeros(3), np.zeros(3), np.array([0.1, 2.0, 0.2]))
+
+
+# --------------------------------------------------------------------------
+# exact coefficient tables beyond the float range of the factorials
+
+
+def _mp_coefficient(spec, key_m: int, key_n: int):
+    import mpmath as mp
+
+    q, f = spec.q, mp.factorial
+    if isinstance(spec, Exponential):
+        alpha, nu = q - 2, key_m + key_n + q - 1
+        h = mp.mpf(key_m + key_n + alpha + 1) / (alpha + 1)
+        h *= mp.binomial(alpha + key_m, alpha) * mp.binomial(alpha + key_n, alpha)
+        return h * f(q - 1) * mp.fsum(1 / (f(j) * f(nu + j)) for j in range(30))
+    if isinstance(spec, Aktas):
+        m, n = key_m - key_n, key_n
+        return mp.rf(q - 1, n) * mp.mpf(spec.t) ** (m + n) / (f(m) * f(n))
+    if isinstance(spec, Horn):
+        m, n = key_m, key_n - key_m
+        return mp.rf(q + n - 1, m) * mp.rf(spec.b, n) * mp.mpf(spec.t) ** n * mp.mpf(spec.s) ** m / (f(m) * f(n))
+    m, n = key_m - key_n, key_n
+    return mp.rf(q - 1, n) * mp.rf(spec.b, m) * mp.mpf(spec.t) ** m * mp.mpf(spec.s) ** n / (f(m) * f(n))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Exponential(q=2), Aktas(t=0.3, q=3), Horn(t=0.1, s=0.1, b=2, q=4), Lauricella(t=0.2, s=0.1, b=2, q=2)],
+    ids=repr,
+)
+def test_exact_coefficients_beyond_factorial_overflow(spec):
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    table = family_coefficients(spec, 200, 200)
+    values = np.array([v.real for v in table.entries.values()])
+    assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+    assert all(v.imag == 0.0 for v in table.entries.values())
+    keys = sorted(table.entries)
+    sample = keys[::211] + [k for k in keys if max(k) <= 64][::53] + [keys[-1]]
+    for key in sample:
+        ref = _mp_coefficient(spec, *key)
+        if ref < mp.mpf("1e-300"):
+            continue
+        rel = abs(mp.mpf(table.get(*key).real) - ref) / ref
+        assert rel <= (1e-12 if max(key) <= 64 else 1e-10), (key, float(rel))

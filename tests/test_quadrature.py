@@ -247,3 +247,28 @@ def test_table_json_malformed():
 def test_table_round_trip_property(entries):
     t = CoefficientTable(alpha=0.5, entries=entries)
     assert CoefficientTable.loads(t.dumps()).entries == t.entries
+
+
+def test_kernel_error_on_array_input_propagates_from_the_first_call():
+    calls = []
+
+    def one_point_at_a_time(z):
+        calls.append(np.ndim(z))
+        if np.ndim(z):
+            raise DomainError("this kernel takes one point at a time")
+        return 1.0
+
+    with pytest.raises(DomainError, match="one point at a time"):
+        integrate(build_rule(0.0, 4, 6), one_point_at_a_time)
+    assert calls == [1]
+
+
+def test_kernel_callables_must_accept_arrays():
+    rule = build_rule(0.0, 4, 6)
+    with pytest.raises(DomainError, match="ndarray") as info:
+        integrate(rule, lambda z: complex(z))
+    assert "\n" not in str(info.value)
+    with pytest.raises(DomainError, match="shape") as info:
+        expand(lambda z: np.ones(3), 0.0, 1, 1)
+    assert "\n" not in str(info.value)
+    assert integrate(rule, lambda z: 2.0) == pytest.approx(2.0, abs=1e-13)
