@@ -113,6 +113,8 @@ class IndexSet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IndexSet":
+        if not isinstance(doc, dict):
+            raise DomainError(f"index set document must be a JSON object, got {type(doc).__name__}")
         try:
             return cls.of(
                 finite=doc.get("finite", ()),
@@ -247,11 +249,7 @@ class PdReport:
 
 def is_pd(table: CoefficientTable, tol: float = 1e-10) -> PdReport:
     """Nonnegativity gate: every entry must have |Im| <= tol and Re >= -tol."""
-    violations = [
-        (m, n, v)
-        for (m, n), v in table.sorted_items()
-        if abs(v.imag) > tol or v.real < -tol
-    ]
+    violations = table.nonnegativity_violations(tol)
     return PdReport(ok=not violations, violations=violations)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import CapacityError, DiscWalkError, DomainError
-from .special import disc_norm_h, disc_poly, ensure_in_disk, jacobi_R_all
+from .special import disc_norm_h, disc_norm_h_rows, disc_poly, ensure_in_disk, jacobi_R_all
 from .tables import CoefficientTable
 
 
@@ -134,8 +134,9 @@ def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None
     ``f`` is called once, on the (radial, angular) node grid, and must accept
     ndarray input.  Equivalent to calling :func:`extract_coefficient` per
     index, but exploits the tensor structure of the rule: one angular Fourier
-    sum per frequency d = m - n, then radial Gauss sums against cached Jacobi
-    rows.
+    sum per frequency d = m - n, then, per frequency, one radial Gauss
+    reduction for all its entries against Jacobi rows computed for every
+    |d| in a single recurrence.
 
     The capacity check guarantees exactness for polynomial f up to the table
     degrees; for non-polynomial f the rule must also resolve f's own spectrum
@@ -157,20 +158,21 @@ def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None
     fourier = vals @ phases.T                              # (R, n_d): sum_k f e^{-i d theta} / K
 
     t = np.clip(2.0 * rule.radial_nodes**2 - 1.0, -1.0, 1.0)
-    kmax = min(m_max, n_max)
-    jac: dict[int, np.ndarray] = {
-        beta: jacobi_R_all(kmax, alpha, float(beta), t) for beta in range(max(m_max, n_max) + 1)
-    }
+    jac = jacobi_R_all(min(m_max, n_max), alpha, np.arange(max(m_max, n_max) + 1), t)  # (k, |d|, R)
 
-    entries: dict[tuple[int, int], complex] = {}
+    # radial Gauss sums: one reduction per frequency d over its k = min(m, n)
     rw = rule.radial_weights
+    acc: dict[int, np.ndarray] = {}
+    for d in range(-n_max, m_max + 1):
+        k_d = min(m_max - max(d, 0), n_max + min(d, 0)) + 1
+        radial = jac[:k_d, abs(d)] * rule.radial_nodes ** abs(d)
+        acc[d] = ((rw * radial) * fourier[:, d + n_max]).sum(axis=-1)
+
+    h = disc_norm_h_rows(m_max, n_max, alpha)
+    entries: dict[tuple[int, int], complex] = {}
     for m in range(m_max + 1):
         for n in range(n_max + 1):
-            d = m - n
-            k = min(m, n)
-            radial = jac[abs(d)][k] * rule.radial_nodes ** abs(d)
-            acc = np.sum(rw * radial * fourier[:, d + n_max])
-            entries[(m, n)] = complex(disc_norm_h(m, n, alpha) * acc)
+            entries[(m, n)] = complex(h[m][n] * acc[m - n][min(m, n)])
     return CoefficientTable(alpha=float(alpha), entries=entries, source="extracted")
 
 
@@ -208,13 +210,9 @@ def coefficient_sum(table: CoefficientTable, tol: float = 1e-10) -> float:
     For expansions with nonnegative coefficients the full sum equals the
     synthesized value at z = 1, which makes partial sums a convergence
     diagnostic for truncations.  Entries with imaginary part beyond ``tol`` or
-    real part below ``-tol`` are rejected.
+    real part below ``-tol``, and NaN entries, are rejected.
     """
-    bad = [
-        (m, n, v)
-        for (m, n), v in table.sorted_items()
-        if abs(v.imag) > tol or v.real < -tol
-    ]
+    bad = table.nonnegativity_violations(tol)
     if bad:
         head = ", ".join(f"({m},{n})={v}" for m, n, v in bad[:4])
         raise DomainError(f"coefficient_sum requires real nonnegative entries; offending: {head}")

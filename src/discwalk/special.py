@@ -50,20 +50,24 @@ def _require_index(m: int, n: int, alpha: float) -> None:
 def ensure_in_disk(z, eps: float = BOUNDARY_EPS) -> np.ndarray:
     """Return ``z`` as a complex array, rejecting points outside the closed disk."""
     arr = np.asarray(z, dtype=complex)
-    if arr.size and float(np.max(np.abs(arr))) > 1.0 + eps:
-        raise DomainError(
-            f"evaluation point outside closed unit disk: max |z| = {float(np.max(np.abs(arr)))!r}"
-        )
+    # written so that a NaN modulus fails the test too
+    if arr.size and not (radius := float(np.max(np.abs(arr)))) <= 1.0 + eps:
+        raise DomainError(f"evaluation point outside closed unit disk: max |z| = {radius!r}")
     return arr
 
 
-def _jacobi_p_rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.ndarray:
+def _jacobi_p_rows(kmax: int, alpha: float, beta, t: np.ndarray) -> np.ndarray:
     """Unnormalized Jacobi polynomials P_j^(alpha,beta)(t), rows j = 0..kmax.
 
-    Ascending three-term recurrence; stable on [-1, 1] for the degree range
-    used here (k <= ~60).
+    ``beta`` is a scalar (result shape (kmax+1, len(t))) or a 1-d array
+    (result shape (kmax+1, len(beta), len(t))); every beta runs through the
+    same recurrence step, elementwise with the scalar arithmetic.  Ascending
+    three-term recurrence; stable on [-1, 1] for the degree range used here
+    (k <= ~60).
     """
-    rows = np.empty((kmax + 1, t.size), dtype=float)
+    if np.ndim(beta):
+        beta = np.asarray(beta, dtype=float)[:, None]
+    rows = np.empty((kmax + 1,) + np.broadcast_shapes(np.shape(beta), t.shape), dtype=float)
     rows[0] = 1.0
     if kmax >= 1:
         rows[1] = 0.5 * ((alpha + beta + 2.0) * t + (alpha - beta))
@@ -77,18 +81,20 @@ def _jacobi_p_rows(kmax: int, alpha: float, beta: float, t: np.ndarray) -> np.nd
     return rows
 
 
-def jacobi_R_all(kmax: int, alpha: float, beta: float, t) -> np.ndarray:
+def jacobi_R_all(kmax: int, alpha: float, beta, t) -> np.ndarray:
     """Normalized Jacobi values R_j(t) = P_j(t)/P_j(1) for all j = 0..kmax.
 
-    ``t`` may be scalar or 1-d; the result has shape (kmax+1, len(t)).
+    ``t`` may be scalar or 1-d; the result has shape (kmax+1, len(t)).  An
+    array of ``beta`` runs all of them in one recurrence and gives shape
+    (kmax+1, len(beta), len(t)), bit-equal to one call per beta.
     """
     if kmax < 0:
         raise DomainError(f"degree must be nonnegative, got {kmax}")
-    if not (alpha > -1.0 and beta > -1.0):
+    if not (alpha > -1.0 and np.all(np.greater(beta, -1.0))):
         raise DomainError(f"Jacobi parameters must exceed -1, got ({alpha}, {beta})")
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if arr.size and float(np.max(np.abs(arr))) > 1.0 + BOUNDARY_EPS:
-        raise DomainError(f"Jacobi argument outside [-1, 1]: {float(np.max(np.abs(arr)))!r}")
+    if arr.size and not (top := float(np.max(np.abs(arr)))) <= 1.0 + BOUNDARY_EPS:
+        raise DomainError(f"Jacobi argument outside [-1, 1]: {top!r}")
     arr = np.clip(arr, -1.0, 1.0)
     rows = _jacobi_p_rows(kmax, alpha, beta, arr)
     # P_j(1) = (alpha+1)_j / j!, accumulated incrementally
@@ -131,6 +137,13 @@ def disc_poly_at_zero(m: int, n: int, alpha: float) -> float:
     return (-1.0) ** n * math.factorial(n) / pochhammer(alpha + 1.0, n)
 
 
+def _norm_h(m: int, n: int, alpha: float, lg_a: float, lg_am: float, lg_m: float,
+            lg_an: float, lg_n: float) -> float:
+    # lg_a = lgamma(alpha+1), lg_ak = lgamma(alpha+k+1), lg_k = lgamma(k+1)
+    log_binoms = lg_am - lg_a - lg_m + lg_an - lg_a - lg_n
+    return (m + n + alpha + 1.0) / (alpha + 1.0) * math.exp(log_binoms)
+
+
 def disc_norm_h(m: int, n: int, alpha: float) -> float:
     """Orthogonality constant h_{m,n}^alpha.
 
@@ -141,15 +154,27 @@ def disc_norm_h(m: int, n: int, alpha: float) -> float:
     """
     _require_index(m, n, alpha)
     lg = math.lgamma
-    log_binoms = (
-        lg(alpha + m + 1.0)
-        - lg(alpha + 1.0)
-        - lg(m + 1.0)
-        + lg(alpha + n + 1.0)
-        - lg(alpha + 1.0)
-        - lg(n + 1.0)
+    return _norm_h(
+        m, n, alpha, lg(alpha + 1.0), lg(alpha + m + 1.0), lg(m + 1.0), lg(alpha + n + 1.0), lg(n + 1.0)
     )
-    return (m + n + alpha + 1.0) / (alpha + 1.0) * math.exp(log_binoms)
+
+
+def disc_norm_h_rows(m_max: int, n_max: int, alpha: float) -> list[list[float]]:
+    """All h_{m,n}^alpha with m <= m_max, n <= n_max as rows ``h[m][n]``.
+
+    Each value equals ``disc_norm_h(m, n, alpha)`` bit for bit; the lgamma
+    values are computed once per index instead of once per entry.
+    """
+    _require_index(m_max, n_max, alpha)
+    lg = math.lgamma
+    ks = range(max(m_max, n_max) + 1)
+    lg_a = lg(alpha + 1.0)
+    lg_ak = [lg(alpha + k + 1.0) for k in ks]
+    lg_k = [lg(k + 1.0) for k in ks]
+    return [
+        [_norm_h(m, n, alpha, lg_a, lg_ak[m], lg_k[m], lg_ak[n], lg_k[n]) for n in range(n_max + 1)]
+        for m in range(m_max + 1)
+    ]
 
 
 def c_factor(m: int, n: int, alpha: float) -> float:

@@ -14,12 +14,19 @@ File format (entries sorted by (m, n) ascending, floats round-trip exactly):
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
 
 Key = tuple[int, int]
+
+# the layout json.dumps(indent=2) gives a table document; "%r" spells a finite
+# float exactly as json does
+_TABLE_JSON = '{\n  "alpha": %s,\n  "entries": %s\n}\n'
+_ENTRY_JSON = '    {\n      "m": %d,\n      "n": %d,\n      "re": %r,\n      "im": %r\n    }'
 
 
 @dataclass
@@ -32,6 +39,8 @@ class CoefficientTable:
     def __post_init__(self) -> None:
         if not self.alpha > -1.0:
             raise DomainError(f"table parameter must exceed -1, got alpha = {self.alpha}")
+        if not math.isfinite(self.alpha):
+            raise DomainError(f"table parameter must be finite, got alpha = {self.alpha}")
         clean: dict[Key, complex] = {}
         for key, value in self.entries.items():
             m, n = key
@@ -76,8 +85,27 @@ class CoefficientTable:
             raise DomainError(f"malformed coefficient table document: {exc}") from exc
         return cls(alpha=alpha, entries=entries, source=source)
 
+    def nonnegativity_violations(self, tol: float) -> list[tuple[int, int, complex]]:
+        """Entries, in (m, n) order, that are not real and nonnegative to within
+        ``tol``: |Im| > tol or Re < -tol.  A NaN entry is always a violation."""
+        return [
+            (m, n, v)
+            for (m, n), v in self.sorted_items()
+            if not (abs(v.imag) <= tol and v.real >= -tol)
+        ]
+
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The file format, byte-equal to ``json.dumps(self.to_dict(), indent=2) + "\\n"``.
+
+        Non-finite entries have no JSON spelling and are refused.
+        """
+        items = self.sorted_items()
+        if not cmath.isfinite(sum(self.entries.values())):
+            for (m, n), v in items:
+                if not cmath.isfinite(v):
+                    raise DomainError(f"cannot write non-finite coefficient ({m}, {n}) = {v!r}")
+        body = ",\n".join([_ENTRY_JSON % (m, n, v.real, v.imag) for (m, n), v in items])
+        return _TABLE_JSON % (json.dumps(self.alpha), f"[\n{body}\n  ]" if items else "[]")
 
     @classmethod
     def loads(cls, text: str, source: str = "exact") -> "CoefficientTable":

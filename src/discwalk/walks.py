@@ -89,7 +89,11 @@ class MonteeResult:
 
     @classmethod
     def loads(cls, text: str) -> "MonteeResult":
-        return cls.from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"invalid JSON for montee result: {exc}") from exc
+        return cls.from_dict(doc)
 
 
 def _montee_constant(entries: dict, alpha: float) -> float:

@@ -196,3 +196,29 @@ def lauricella_f14_loop(a1: float, b1: float, b2: float, c1: float, c2: float,
         if quiet_m >= 3:
             return total
     raise AssertionError("reference F14 series did not converge")
+
+
+def expand_loop(f, alpha: float, m_max: int, n_max: int, rule=None) -> CoefficientTable:
+    """Per-entry coefficient extraction: one Jacobi recurrence per |d| and one
+    Gauss sum and one ``disc_norm_h`` per (m, n).  This is the loop ``expand``
+    replaced; the vectorised version must reproduce it exactly."""
+    from discwalk import default_rule, disc_norm_h, jacobi_R_all
+
+    if rule is None:
+        rule = default_rule(alpha, m_max, n_max)
+    vals = np.asarray(f(rule.grid()), dtype=complex)
+    ds = np.arange(-n_max, m_max + 1)
+    phases = np.exp(-1j * np.outer(ds, rule.angular_nodes)) / rule.angular_order
+    fourier = vals @ phases.T
+    t = np.clip(2.0 * rule.radial_nodes**2 - 1.0, -1.0, 1.0)
+    kmax = min(m_max, n_max)
+    jac = {beta: jacobi_R_all(kmax, alpha, float(beta), t) for beta in range(max(m_max, n_max) + 1)}
+    entries = {}
+    rw = rule.radial_weights
+    for m in range(m_max + 1):
+        for n in range(n_max + 1):
+            d = m - n
+            radial = jac[abs(d)][min(m, n)] * rule.radial_nodes ** abs(d)
+            acc = np.sum(rw * radial * fourier[:, d + n_max])
+            entries[(m, n)] = complex(disc_norm_h(m, n, alpha) * acc)
+    return CoefficientTable(alpha=float(alpha), entries=entries, source="extracted")

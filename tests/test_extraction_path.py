@@ -1,0 +1,240 @@
+"""The coefficient-extraction path: vectorised ``expand`` against the per-entry
+loop, array-``beta`` Jacobi rows, the table writer against ``json.dumps``, and
+the non-finite inputs that path must refuse."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import discwalk.quadrature as quadrature
+from discwalk import (
+    CoefficientTable,
+    DomainError,
+    Exponential,
+    IndexSet,
+    MonteeResult,
+    build_rule,
+    cli,
+    coefficient_sum,
+    disc_norm_h,
+    disc_poly,
+    eval_family,
+    expand,
+    is_pd,
+    jacobi_R_all,
+    make_family,
+    synthesize,
+)
+from discwalk.special import disc_norm_h_rows
+from helpers import expand_loop
+
+
+def _bumpy(z):
+    # not a polynomial, not symmetric in (z, conj z): every entry is nonzero
+    return np.exp(0.7 * z + 0.2 * np.conj(z) ** 2) / (1.5 - 0.4 * z * np.conj(z))
+
+
+def _assert_same_table(a: CoefficientTable, b: CoefficientTable) -> None:
+    assert a.alpha == b.alpha
+    assert list(a.entries) == list(b.entries)  # same keys in the same order
+    assert list(a.entries.values()) == list(b.entries.values())
+    assert [repr(v) for v in a.entries.values()] == [repr(v) for v in b.entries.values()]
+
+
+@pytest.mark.parametrize(
+    "alpha, m_max, n_max, orders",
+    [
+        (0.0, 6, 6, None),
+        (1.0, 9, 4, None),
+        (2.0, 3, 11, None),
+        (1.0, 0, 7, None),
+        (0.0, 5, 0, None),
+        (0.0, 0, 0, None),
+        (-0.5, 7, 5, None),
+        (0.7, 4, 8, None),
+        (0.7, 6, 6, (15, 31)),
+        (-0.5, 2, 9, (40, 23)),
+        (1.0, 16, 16, (50, 80)),
+    ],
+)
+def test_expand_equals_per_entry_loop(alpha, m_max, n_max, orders):
+    rule = build_rule(alpha, *orders) if orders else None
+    _assert_same_table(
+        expand(_bumpy, alpha, m_max, n_max, rule),
+        expand_loop(_bumpy, alpha, m_max, n_max, rule),
+    )
+
+
+@pytest.mark.parametrize("family, params, q", [("poisson", {"r": 0.5}, 3), ("aktas", {"t": 0.3}, 4)])
+def test_expand_equals_per_entry_loop_on_families(family, params, q):
+    spec = make_family(family, q, params)
+    f = lambda z: eval_family(spec, z)  # noqa: E731
+    _assert_same_table(expand(f, q - 2.0, 24, 24), expand_loop(f, q - 2.0, 24, 24))
+
+
+def test_expand_runs_one_jacobi_recurrence(monkeypatch):
+    calls = []
+    real = quadrature.jacobi_R_all
+
+    def counting(*args):
+        calls.append(args[:3])
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, "jacobi_R_all", counting)
+    expand(_bumpy, 1.0, 9, 4)
+    assert len(calls) == 1
+    assert list(calls[0][2]) == list(range(10))
+
+
+def test_disc_norm_h_rows_equal_disc_norm_h():
+    for alpha in (-0.5, 0.0, 0.7, 2.0):
+        rows = disc_norm_h_rows(12, 5, alpha)
+        assert [len(r) for r in rows] == [6] * 13
+        for m in range(13):
+            for n in range(6):
+                assert rows[m][n] == disc_norm_h(m, n, alpha)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7, 2.0])
+@pytest.mark.parametrize("kmax", [0, 1, 2, 17])
+def test_jacobi_R_all_array_beta_is_bit_equal_to_per_beta_calls(alpha, kmax):
+    t = np.concatenate([[-1.0, 0.0, 1.0], np.cos(np.linspace(0.1, 3.0, 29))])
+    betas = np.concatenate([np.arange(20.0), [-0.5, 0.3, 2.5]])
+    rows = jacobi_R_all(kmax, alpha, betas, t)
+    assert rows.shape == (kmax + 1, betas.size, t.size)
+    for i, beta in enumerate(betas):
+        assert np.array_equal(rows[:, i], jacobi_R_all(kmax, alpha, float(beta), t))
+
+
+def test_jacobi_R_all_scalar_beta_keeps_its_shape_and_array_beta_is_checked():
+    assert jacobi_R_all(4, 1.0, 2.0, np.linspace(-1, 1, 7)).shape == (5, 7)
+    assert jacobi_R_all(4, 1.0, 2.0, 0.25).shape == (5, 1)
+    assert jacobi_R_all(4, 1.0, [2.0], 0.25).shape == (5, 1, 1)
+    with pytest.raises(DomainError):
+        jacobi_R_all(4, 1.0, np.array([0.0, -1.0]), 0.25)
+
+
+# --------------------------------------------------------------------------
+# the table writer
+
+
+def _reference_json(table: CoefficientTable) -> str:
+    return json.dumps(table.to_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "alpha, entries",
+    [
+        (0.0, {}),
+        (2, {}),
+        (np.float64(0.5), {(0, 0): 1.0}),
+        (3, {(1, 2): -0.0, (0, 0): complex(5e-324, -5e-324)}),
+        (1.0, {(4, 4): 1e308, (2, 9): complex(-1e308, 1e-300), (0, 1): complex(0.1, -0.0)}),
+        (-0.5, {(10, 0): 1 / 3, (0, 10): complex(2.5e-17, 7e22)}),
+    ],
+)
+def test_dumps_equals_json_reference(alpha, entries):
+    table = CoefficientTable(alpha=alpha, entries=entries)
+    assert table.dumps() == _reference_json(table)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.one_of(
+        st.integers(0, 5),
+        st.floats(-0.999, 50.0, allow_nan=False),
+        st.floats(-0.999, 50.0, allow_nan=False).map(np.float64),
+    ),
+    entries=st.dictionaries(
+        st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        st.builds(complex, _finite, _finite),
+        max_size=60,
+    ),
+)
+def test_dumps_equals_json_reference_on_random_tables(alpha, entries):
+    table = CoefficientTable(alpha=alpha, entries=entries)
+    text = table.dumps()
+    assert text == _reference_json(table)
+    assert CoefficientTable.loads(text).entries == table.entries
+
+
+def test_dumps_refuses_non_finite_entries_naming_the_first_key():
+    table = CoefficientTable(
+        alpha=0.0, entries={(3, 0): complex("inf"), (1, 2): complex("nan"), (0, 0): 1.0}
+    )
+    with pytest.raises(DomainError, match=r"\(1, 2\)") as info:
+        table.dumps()
+    assert "\n" not in str(info.value)
+    # finite entries whose sum overflows are still written
+    big = CoefficientTable(alpha=0.0, entries={(0, 0): 1e308, (1, 1): 1e308})
+    assert big.dumps() == _reference_json(big)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_table_rejects_non_finite_alpha(alpha):
+    with pytest.raises(DomainError):
+        CoefficientTable(alpha=alpha)
+
+
+def test_walk_of_a_nan_table_exits_2_with_one_line(tmp_path, capsys):
+    src = tmp_path / "nan.json"
+    src.write_text('{"alpha": 1.0, "entries": [{"m": 2, "n": 1, "re": NaN, "im": 0.0}]}')
+    rc = cli.main(["walk", "--op", "dz", "--in", str(src), "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "(1, 1)" in err
+
+
+def test_nan_entries_fail_the_nonnegativity_gate():
+    table = CoefficientTable(alpha=0.0, entries={(0, 0): 1.0, (2, 1): complex("nan")})
+    report = is_pd(table)
+    assert not report.ok
+    assert [(m, n) for m, n, _ in report.violations] == [(2, 1)]
+    with pytest.raises(DomainError, match="real nonnegative"):
+        coefficient_sum(table)
+    with pytest.raises(DomainError):
+        coefficient_sum(CoefficientTable(alpha=0.0, entries={(1, 1): complex(1.0, math.nan)}))
+
+
+# --------------------------------------------------------------------------
+# NaN points and malformed documents
+
+
+def test_nan_points_are_outside_the_disk():
+    nan = complex("nan")
+    with pytest.raises(DomainError):
+        eval_family(Exponential(q=2), nan)
+    with pytest.raises(DomainError):
+        eval_family(Exponential(q=2), np.array([0.5, nan]))
+    with pytest.raises(DomainError):
+        synthesize(CoefficientTable(alpha=0.0, entries={(1, 0): 1.0}), nan)
+    with pytest.raises(DomainError):
+        disc_poly(2, 1, 0.0, np.array([0.1j, complex(0.2, math.nan)]))
+    with pytest.raises(DomainError):
+        jacobi_R_all(3, 0.0, 1.0, np.array([0.5, math.nan]))
+
+
+@pytest.mark.parametrize("doc", [[1, 2], 5, "x", None])
+def test_index_set_from_non_object_is_domain_error(doc):
+    with pytest.raises(DomainError):
+        IndexSet.from_dict(doc)
+    with pytest.raises(DomainError):
+        IndexSet.loads(json.dumps(doc))
+
+
+def test_check_set_with_a_json_list_exits_2_with_one_line(capsys):
+    rc = cli.main(["check", "--set", "[1,2]", "--q", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+
+
+def test_montee_result_loads_invalid_json_is_domain_error():
+    with pytest.raises(DomainError, match="invalid JSON"):
+        MonteeResult.loads("{")
