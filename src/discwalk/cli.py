@@ -254,13 +254,16 @@ def _cmd_plot_data(args) -> int:
     z.real = xs[inside]
     z.imag = ys[inside]
     values = iter(np.asarray(f(z), dtype=complex).tolist())
+    labels = [repr(v) for v in axis.tolist()]  # row (x, y) is (axis[i], axis[k]), k fastest
+    rows = iter(inside.tolist())
     lines = ["x,y,re,im"]
-    for x, y, ins in zip(xs.tolist(), ys.tolist(), inside.tolist()):
-        if ins:
-            v = next(values)
-            lines.append(f"{x!r},{y!r},{v.real!r},{v.imag!r}")
-        else:
-            lines.append(f"{x!r},{y!r},,")
+    for x in labels:
+        for y in labels:
+            if next(rows):
+                v = next(values)
+                lines.append(f"{x},{y},{v.real!r},{v.imag!r}")
+            else:
+                lines.append(f"{x},{y},,")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {args.out}")
@@ -333,10 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # built on the first call and reused: parsing leaves the parser unchanged
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -214,6 +214,23 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _first_missed_residue(s: IndexSet, N: int) -> int:
+    """Smallest j in [0, N) with S intersect (N Z + j) empty, or -1 if S meets every class.
+
+    The residues S covers mod N are its finite elements mod N plus, for each
+    progression, the class offset mod gcd(|step|, N) (the same rule as
+    ``intersects_progression``).
+    """
+    covered = bytearray(N)
+    for e in s.finite:
+        covered[e % N] = 1
+    for p in s.progressions:
+        g = math.gcd(abs(p.step), N)
+        r = p.offset % g
+        covered[r::g] = b"\x01" * len(range(r, N, g))
+    return covered.find(0)
+
+
 def spd_verdict(s: IndexSet, n_max: int = 64) -> SpdVerdict:
     """Decide whether S meets every residue class N Z + j (all N >= 1)."""
     if n_max < 1:
@@ -226,14 +243,14 @@ def spd_verdict(s: IndexSet, n_max: int = 64) -> SpdVerdict:
         steps = [abs(p.step) for p in s.progressions]
         L = math.lcm(*steps) if steps else 1
         for N in _divisors(L):
-            for j in range(N):
-                if not intersects_progression(s, N, j):
-                    return SpdVerdict.refuted_at(N, j)
+            j = _first_missed_residue(s, N)
+            if j >= 0:
+                return SpdVerdict.refuted_at(N, j)
         return SpdVerdict.certified_exact("divisor closure")
     for N in range(1, n_max + 1):
-        for j in range(N):
-            if not intersects_progression(s, N, j):
-                return SpdVerdict.refuted_at(N, j)
+        j = _first_missed_residue(s, N)
+        if j >= 0:
+            return SpdVerdict.refuted_at(N, j)
     return SpdVerdict.certified_up_to(n_max)
 
 

@@ -182,6 +182,8 @@ def c_factor(m: int, n: int, alpha: float) -> float:
 
     Appears in the Wirtinger derivative identity
     D_z R_{m,n}^alpha = c_alpha(m, n) R_{m-1,n}^(alpha+1) and its conjugate.
+    The walk operators in ``walks`` write this expression inline, once per
+    entry; the two must stay bit-equal (tests/test_walk_path.py checks it).
     """
     if not alpha > -1.0:
         raise DomainError(f"parameter must exceed -1, got alpha = {alpha}")

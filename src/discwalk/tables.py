@@ -74,25 +74,42 @@ class CoefficientTable:
         }
 
     @classmethod
+    def _of_clean(cls, alpha: float, entries: dict[Key, complex], source: str) -> "CoefficientTable":
+        """A table from entries that are already ``(int, int) -> complex`` with
+        nonnegative indices; only ``alpha`` is checked."""
+        table = cls(alpha=alpha, source=source)  # __post_init__ has no entries to redo
+        table.entries = entries
+        return table
+
+    @classmethod
     def from_dict(cls, doc: dict, source: str = "exact") -> "CoefficientTable":
+        # one pass converts and checks every entry; the refusals come in the
+        # public constructor's order: malformed document, alpha, first bad index
+        negative = None
         try:
             alpha = float(doc["alpha"])
-            entries = {
-                (int(e["m"]), int(e["n"])): complex(float(e["re"]), float(e["im"]))
-                for e in doc["entries"]
-            }
-        except (KeyError, TypeError, ValueError) as exc:
+            entries: dict[Key, complex] = {}
+            for e in doc["entries"]:
+                key = (int(e["m"]), int(e["n"]))
+                if negative is None and (key[0] < 0 or key[1] < 0):
+                    negative = key
+                entries[key] = complex(float(e["re"]), float(e["im"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed coefficient table document: {exc}") from exc
-        return cls(alpha=alpha, entries=entries, source=source)
+        table = cls._of_clean(alpha, entries, source)
+        if negative is not None:
+            raise DomainError(f"bad table index {negative!r}")
+        return table
 
     def nonnegativity_violations(self, tol: float) -> list[tuple[int, int, complex]]:
         """Entries, in (m, n) order, that are not real and nonnegative to within
         ``tol``: |Im| > tol or Re < -tol.  A NaN entry is always a violation."""
-        return [
-            (m, n, v)
-            for (m, n), v in self.sorted_items()
+        bad = [
+            (key, v)
+            for key, v in self.entries.items()
             if not (abs(v.imag) <= tol and v.real >= -tol)
         ]
+        return [(m, n, v) for (m, n), v in sorted(bad)]
 
     def dumps(self) -> str:
         """The file format, byte-equal to ``json.dumps(self.to_dict(), indent=2) + "\\n"``.

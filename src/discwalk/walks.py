@@ -27,40 +27,53 @@ import json
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .special import c_factor, disc_poly_at_zero, ensure_in_disk
+from .special import disc_poly_at_zero, ensure_in_disk
 from .tables import CoefficientTable
+
+
+def _c_denominator(alpha: float) -> float:
+    """alpha + 1, after ``special.c_factor``'s check on alpha.
+
+    The walks write c_alpha(m, n) inline as ``m * (n + alpha + 1.0) / (alpha + 1.0)``,
+    c_factor's own expression, so their values are bit-equal to one c_factor
+    call per entry while alpha is checked once per walk (the montee operators
+    check their target alpha themselves).
+    """
+    if not alpha > -1.0:
+        raise DomainError(f"parameter must exceed -1, got alpha = {alpha}")
+    return alpha + 1.0
 
 
 def descente_z(table: CoefficientTable) -> CoefficientTable:
     """Coefficient table of D_z f at level alpha + 1; m = 0 entries have no image."""
     alpha = table.alpha
+    a1 = _c_denominator(alpha)
     entries = {
-        (m - 1, n): c_factor(m, n, alpha) * v
+        (m - 1, n): m * (n + alpha + 1.0) / a1 * v
         for (m, n), v in table.entries.items()
         if m >= 1
     }
-    return CoefficientTable(alpha=alpha + 1.0, entries=entries, source=table.source)
+    return CoefficientTable._of_clean(alpha + 1.0, entries, table.source)
 
 
 def descente_zbar(table: CoefficientTable) -> CoefficientTable:
     """Coefficient table of D_zbar f at level alpha + 1; n = 0 entries have no image."""
     alpha = table.alpha
+    a1 = _c_denominator(alpha)
     entries = {
-        (m, n - 1): c_factor(n, m, alpha) * v
+        (m, n - 1): n * (m + alpha + 1.0) / a1 * v
         for (m, n), v in table.entries.items()
         if n >= 1
     }
-    return CoefficientTable(alpha=alpha + 1.0, entries=entries, source=table.source)
+    return CoefficientTable._of_clean(alpha + 1.0, entries, table.source)
 
 
 def descente_x(table: CoefficientTable) -> CoefficientTable:
     """Coefficient table of D_x f = D_z f + D_zbar f at level alpha + 1."""
-    a = descente_z(table)
-    b = descente_zbar(table)
-    entries = dict(a.entries)
-    for key, v in b.entries.items():
+    entries = descente_z(table).entries
+    for key, v in descente_zbar(table).entries.items():
         entries[key] = entries.get(key, 0j) + v
-    return CoefficientTable(alpha=table.alpha + 1.0, entries=entries, source=table.source)
+    return CoefficientTable._of_clean(table.alpha + 1.0, entries, table.source)
 
 
 @dataclass
@@ -80,7 +93,7 @@ class MonteeResult:
         try:
             constant = float(doc["constant"])
             table = CoefficientTable.from_dict(doc["table"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed montee result document: {exc}") from exc
         return cls(table=table, constant=constant)
 
@@ -118,12 +131,13 @@ def montee_z(table: CoefficientTable) -> MonteeResult:
         raise DomainError(
             f"montee target parameter alpha = {alpha} must exceed -1 (input table at {table.alpha})"
         )
+    a1 = alpha + 1.0
     entries = {
-        (m + 1, n): v / c_factor(m + 1, n, alpha)
+        (m + 1, n): v / ((m + 1) * (n + alpha + 1.0) / a1)
         for (m, n), v in table.entries.items()
     }
     constant = _montee_constant(entries, alpha)
-    out = CoefficientTable(alpha=alpha, entries=entries, source=table.source)
+    out = CoefficientTable._of_clean(alpha, entries, table.source)
     return MonteeResult(table=out, constant=constant)
 
 
@@ -134,12 +148,13 @@ def montee_zbar(table: CoefficientTable) -> MonteeResult:
         raise DomainError(
             f"montee target parameter alpha = {alpha} must exceed -1 (input table at {table.alpha})"
         )
+    a1 = alpha + 1.0
     entries = {
-        (m, n + 1): v / c_factor(n + 1, m, alpha)
+        (m, n + 1): v / ((n + 1) * (m + alpha + 1.0) / a1)
         for (m, n), v in table.entries.items()
     }
     constant = _montee_constant(entries, alpha)
-    out = CoefficientTable(alpha=alpha, entries=entries, source=table.source)
+    out = CoefficientTable._of_clean(alpha, entries, table.source)
     return MonteeResult(table=out, constant=constant)
 
 

@@ -222,3 +222,59 @@ def expand_loop(f, alpha: float, m_max: int, n_max: int, rule=None) -> Coefficie
             acc = np.sum(rw * radial * fourier[:, d + n_max])
             entries[(m, n)] = complex(disc_norm_h(m, n, alpha) * acc)
     return CoefficientTable(alpha=float(alpha), entries=entries, source="extracted")
+
+
+def walk_loop(op: str, table: CoefficientTable):
+    """Per-entry dimension walk: one ``c_factor`` call per entry and the public
+    constructor.  This is the loop the walk operators replaced; they must
+    reproduce it exactly.  ``op`` is dz, dzbar, dx, iz or izbar; iz and izbar
+    return ``(table, constant)``."""
+    from discwalk.special import c_factor, disc_poly_at_zero
+
+    a = table.alpha
+    items = table.entries.items()
+    if op == "dz":
+        entries = {(m - 1, n): c_factor(m, n, a) * v for (m, n), v in items if m >= 1}
+        return CoefficientTable(alpha=a + 1.0, entries=entries, source=table.source)
+    if op == "dzbar":
+        entries = {(m, n - 1): c_factor(n, m, a) * v for (m, n), v in items if n >= 1}
+        return CoefficientTable(alpha=a + 1.0, entries=entries, source=table.source)
+    if op == "dx":
+        entries = dict(walk_loop("dz", table).entries)
+        for key, v in walk_loop("dzbar", table).entries.items():
+            entries[key] = entries.get(key, 0j) + v
+        return CoefficientTable(alpha=a + 1.0, entries=entries, source=table.source)
+    b = a - 1.0
+    if op == "iz":
+        entries = {(m + 1, n): v / c_factor(m + 1, n, b) for (m, n), v in items}
+    elif op == "izbar":
+        entries = {(m, n + 1): v / c_factor(n + 1, m, b) for (m, n), v in items}
+    else:
+        raise ValueError(f"unknown walk {op!r}")
+    constant = 0j
+    for (m, n), v in entries.items():
+        if m == n:
+            constant -= v * disc_poly_at_zero(n, n, b)
+    return CoefficientTable(alpha=b, entries=entries, source=table.source), float(constant.real)
+
+
+def spd_verdict_loop(s, n_max: int = 64):
+    """SPD verdict from one ``intersects_progression`` call per (N, j), scanned
+    in ascending order; ``spd_verdict`` must give the same verdict and the
+    same smallest witness."""
+    from discwalk.positivity import SpdVerdict, _divisors, intersects_progression
+
+    if any(abs(p.step) == 1 for p in s.progressions):
+        return SpdVerdict.certified_exact("step-1 progression")
+    if not s.finite:
+        steps = [abs(p.step) for p in s.progressions]
+        for N in _divisors(math.lcm(*steps) if steps else 1):
+            for j in range(N):
+                if not intersects_progression(s, N, j):
+                    return SpdVerdict.refuted_at(N, j)
+        return SpdVerdict.certified_exact("divisor closure")
+    for N in range(1, n_max + 1):
+        for j in range(N):
+            if not intersects_progression(s, N, j):
+                return SpdVerdict.refuted_at(N, j)
+    return SpdVerdict.certified_up_to(n_max)
