@@ -336,16 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER: argparse.ArgumentParser | None = None
-
-
 def main(argv: list[str] | None = None) -> int:
-    # built on the first call and reused: parsing leaves the parser unchanged
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
+    parser = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -177,17 +177,23 @@ def disc_norm_h_rows(m_max: int, n_max: int, alpha: float) -> list[list[float]]:
     ]
 
 
+def c_denominator(alpha: float) -> float:
+    """The denominator alpha + 1 of c_alpha, after checking alpha > -1."""
+    if not alpha > -1.0:
+        raise DomainError(f"parameter must exceed -1, got alpha = {alpha}")
+    return alpha + 1.0
+
+
 def c_factor(m: int, n: int, alpha: float) -> float:
     """Multiplier c_alpha(m, n) = m (n + alpha + 1) / (alpha + 1).
 
     Appears in the Wirtinger derivative identity
     D_z R_{m,n}^alpha = c_alpha(m, n) R_{m-1,n}^(alpha+1) and its conjugate.
-    The walk operators in ``walks`` write this expression inline, once per
-    entry; the two must stay bit-equal (tests/test_walk_path.py checks it).
+    The walk operators in ``walks`` call ``c_denominator`` once and write the
+    product inline per entry; the two must stay bit-equal
+    (tests/test_walk_path.py checks it).
     """
-    if not alpha > -1.0:
-        raise DomainError(f"parameter must exceed -1, got alpha = {alpha}")
-    return m * (n + alpha + 1.0) / (alpha + 1.0)
+    return m * (n + alpha + 1.0) / c_denominator(alpha)
 
 
 def disc_poly_dz(m: int, n: int, alpha: float, z):

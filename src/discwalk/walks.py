@@ -27,27 +27,14 @@ import json
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .special import disc_poly_at_zero, ensure_in_disk
+from .special import c_denominator, disc_poly_at_zero, ensure_in_disk
 from .tables import CoefficientTable
-
-
-def _c_denominator(alpha: float) -> float:
-    """alpha + 1, after ``special.c_factor``'s check on alpha.
-
-    The walks write c_alpha(m, n) inline as ``m * (n + alpha + 1.0) / (alpha + 1.0)``,
-    c_factor's own expression, so their values are bit-equal to one c_factor
-    call per entry while alpha is checked once per walk (the montee operators
-    check their target alpha themselves).
-    """
-    if not alpha > -1.0:
-        raise DomainError(f"parameter must exceed -1, got alpha = {alpha}")
-    return alpha + 1.0
 
 
 def descente_z(table: CoefficientTable) -> CoefficientTable:
     """Coefficient table of D_z f at level alpha + 1; m = 0 entries have no image."""
     alpha = table.alpha
-    a1 = _c_denominator(alpha)
+    a1 = c_denominator(alpha)
     entries = {
         (m - 1, n): m * (n + alpha + 1.0) / a1 * v
         for (m, n), v in table.entries.items()
@@ -59,7 +46,7 @@ def descente_z(table: CoefficientTable) -> CoefficientTable:
 def descente_zbar(table: CoefficientTable) -> CoefficientTable:
     """Coefficient table of D_zbar f at level alpha + 1; n = 0 entries have no image."""
     alpha = table.alpha
-    a1 = _c_denominator(alpha)
+    a1 = c_denominator(alpha)
     entries = {
         (m, n - 1): n * (m + alpha + 1.0) / a1 * v
         for (m, n), v in table.entries.items()
@@ -131,7 +118,7 @@ def montee_z(table: CoefficientTable) -> MonteeResult:
         raise DomainError(
             f"montee target parameter alpha = {alpha} must exceed -1 (input table at {table.alpha})"
         )
-    a1 = alpha + 1.0
+    a1 = c_denominator(alpha)
     entries = {
         (m + 1, n): v / ((m + 1) * (n + alpha + 1.0) / a1)
         for (m, n), v in table.entries.items()
@@ -148,7 +135,7 @@ def montee_zbar(table: CoefficientTable) -> MonteeResult:
         raise DomainError(
             f"montee target parameter alpha = {alpha} must exceed -1 (input table at {table.alpha})"
         )
-    a1 = alpha + 1.0
+    a1 = c_denominator(alpha)
     entries = {
         (m, n + 1): v / ((n + 1) * (m + alpha + 1.0) / a1)
         for (m, n), v in table.entries.items()

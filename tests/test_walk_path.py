@@ -1,6 +1,6 @@
 """The coefficient-space request path: walks against the per-entry reference,
-the one-pass table reader, the residue-set SPD scan, the reused CLI parser and
-the plot-data row formatting."""
+the one-pass table reader, the residue-set SPD scan and the plot-data row
+formatting."""
 
 import json
 
@@ -131,7 +131,6 @@ DOCS = [
     {"alpha": 1, "entries": [_entry(2, 1, 0.5, -0.25), _entry(0, 0, -0.0, 0.0)]},
     {"alpha": "0.5", "entries": [_entry("3", 1.0, "1.5", 0)]},
     {"alpha": 0.0, "entries": [_entry(1, 1, 1.0), _entry(0, 2, 2.0), _entry(1, 1, 3.0)]},
-    {"alpha": 2.0, "entries": [_entry(1.9, 0, 1.0)]},
     {"alpha": 0.0, "entries": [_entry(-1, 0)]},
     {"alpha": 0.0, "entries": [_entry(0, 0), _entry(2, -3), _entry(-1, 0)]},
     {"alpha": -1.0, "entries": [_entry(-1, 0)]},
@@ -268,46 +267,6 @@ def test_spd_verdict_makes_no_per_residue_calls(monkeypatch):
 
     monkeypatch.setattr(positivity, "intersects_progression", refuse)
     assert [spd_verdict(s) for s in sets] == want
-
-
-# --------------------------------------------------------------------------
-# the CLI parser is built once per process
-
-
-def test_main_builds_the_parser_once_and_reuses_it(tmp_path, capsys, monkeypatch):
-    built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
-    monkeypatch.setattr(cli, "_PARSER", None)
-    src = tmp_path / "t.json"
-    CoefficientTable(alpha=1.0, entries={(2, 1): 0.5, (1, 1): 0.25, (0, 3): 0.125}).save(src)
-    out = tmp_path / "o.json"
-    walk = ["walk", "--op", "dx", "--in", str(src), "--out", str(out)]
-    check = ["check", "--in", str(src), "--nmax", "8"]
-    failing = [
-        ["walk", "--op", "nope", "--in", str(src), "--out", str(out)],
-        ["check", "--set", "[1]"],
-        ["check", "--nmax", "oops"],
-    ]
-
-    def call(argv):
-        if out.exists():
-            out.unlink()
-        rc = cli.main(argv)
-        std = capsys.readouterr()
-        return rc, std.out, std.err, out.read_bytes() if out.exists() else None
-
-    first = [call(walk), call(check)]
-    refused = [call(argv) for argv in failing]
-    again = [call(walk), call(check)]
-    assert len(built) == 1
-    assert again == first
-    assert [r[0] for r in first] == [0, 0]
-    assert [r[0] for r in refused] == [2, 2, 2]
-    # and the outputs are those of a freshly built parser
-    monkeypatch.setattr(cli, "_PARSER", None)
-    assert [call(walk), call(check)] == first
-    assert len(built) == 2
 
 
 # --------------------------------------------------------------------------
