@@ -21,20 +21,26 @@ stopping rule is per point: a point stops accumulating once three consecutive
 row/term maxima fall below 1e-13 of its own partial sum, with a hard cap of
 200 terms per index, so each value is the one a single-point call computes.
 Closed-form coefficient tables take their factorial and Pochhammer ratios in
-log space, so large tables underflow to zero instead of overflowing.
+log space, so large tables underflow to zero instead of overflowing.  They
+are built from per-index arrays: each lgamma value and Exponential's inner
+series once per index, then one array expression per table in the operand
+order of the per-entry formula, with exp and log from ``math``.  Every entry
+equals that formula's value bit for bit (the test suite keeps the per-entry
+loop as its reference).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .positivity import IndexSet, difference_set
 from .quadrature import DiskRule, expand
-from .special import disc_norm_h, ensure_in_disk
+from .special import disc_norm_h, disc_norm_h_rows, ensure_in_disk, libm_each
 from .tables import CoefficientTable
 
 _SERIES_RTOL = 1e-13
@@ -418,12 +424,8 @@ def eval_family(spec: FamilySpec, z):
 # expansion coefficients
 
 
-def _exponential_coefficient(q: int, m: int, n: int) -> float:
-    # a_{m,n} = h_{m,n}^{q-2} (q-1)! sum_j 1/(j! (m+n+q-1+j)!)
-    #         = h (q-1)!/nu! * sum_j nu!/(j! (nu+j)!),  nu = m+n+q-1; the prefactor
-    # is taken in log space so that no factorial overflows, and the inner sum
-    # is summed to a 1e-15 relative tail (terms decay factorially).
-    nu = m + n + q - 1
+def _exponential_series(nu: int) -> float:
+    # sum_j nu!/(j! (nu+j)!), summed to a 1e-15 relative tail (terms decay factorially)
     term = 1.0
     total = 1.0
     j = 0
@@ -432,14 +434,17 @@ def _exponential_coefficient(q: int, m: int, n: int) -> float:
         term /= j * (nu + j)
         total += term
         if term <= 1e-15 * total:
-            break
-    log_scale = math.log(disc_norm_h(m, n, float(q - 2))) + math.lgamma(q) - math.lgamma(nu + 1)
-    return math.exp(log_scale) * total
+            return total
 
 
 def _log_poch(a: float, k: int) -> float:
     """log of the rising factorial (a)_k for a > 0."""
     return math.lgamma(a + k) - math.lgamma(a)
+
+
+def _triangle(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of 0 <= i <= rows, i <= j <= cols, i outer and j inner."""
+    return np.nonzero(np.arange(cols + 1)[None, :] >= np.arange(rows + 1)[:, None])
 
 
 def family_coefficients(
@@ -459,49 +464,54 @@ def family_coefficients(
     if isinstance(spec, (ProductKernel, PoissonSzego)):
         return expand(lambda z: eval_family(spec, z), alpha, m_max, n_max, rule=rule)
 
-    entries: dict[tuple[int, int], complex] = {}
+    # lgamma values once per index; each array sum keeps the operand order of
+    # the per-entry formula, so every entry equals that formula bit for bit
+    lg = math.lgamma
+    ks = range(max(m_max, n_max) + 1)
+    lg_fact = np.array([lg(k + 1) for k in ks])
     if isinstance(spec, Exponential):
-        for m in range(m_max + 1):
-            for n in range(n_max + 1):
-                entries[(m, n)] = complex(_exponential_coefficient(q, m, n))
-    elif isinstance(spec, Aktas):
+        # a_{m,n} = h_{m,n}^{q-2} (q-1)! sum_j 1/(j! (m+n+q-1+j)!)
+        #         = h (q-1)!/nu! * sum_j nu!/(j! (nu+j)!),  nu = m+n+q-1; the
+        # prefactor is taken in log space so that no factorial overflows
+        nus = range(q - 1, m_max + n_max + q)
+        series = np.array([_exponential_series(nu) for nu in nus])
+        lg_nu = np.array([lg(nu + 1) for nu in nus])
+        i = np.arange(m_max + 1)[:, None] + np.arange(n_max + 1)[None, :]  # nu - (q - 1)
+        log_scale = libm_each(math.log, disc_norm_h_rows(m_max, n_max, alpha)) + lg(q) - lg_nu[i]
+        values = libm_each(math.exp, log_scale) * series[i]
+        keys = product(range(m_max + 1), range(n_max + 1))
+    elif isinstance(spec, (Aktas, Lauricella)):
         # series index (m, n) lands at table key (m+n, n)
-        for key_n in range(min(n_max, m_max) + 1):
-            for key_m in range(key_n, m_max + 1):
-                m, n = key_m - key_n, key_n
-                entries[(key_m, key_n)] = complex(
-                    math.exp(
-                        _log_poch(q - 1.0, n) + (m + n) * math.log(spec.t)
-                        - math.lgamma(m + 1) - math.lgamma(n + 1)
-                    )
-                )
+        key_n, key_m = _triangle(min(n_max, m_max), m_max)
+        m, n = key_m - key_n, key_n
+        lp_q = np.array([_log_poch(q - 1.0, k) for k in ks])
+        if isinstance(spec, Aktas):
+            log_a = lp_q[n] + key_m * math.log(spec.t) - lg_fact[m] - lg_fact[n]
+        else:
+            lp_b = np.array([_log_poch(float(spec.b), k) for k in ks])
+            log_a = (
+                lp_q[n] + lp_b[m] + m * math.log(spec.t) + n * math.log(spec.s)
+                - lg_fact[m] - lg_fact[n]
+            )
+        values = libm_each(math.exp, log_a)
+        keys = zip(key_m.tolist(), key_n.tolist())
     elif isinstance(spec, Horn):
         # series index (m, n) lands at table key (m, m+n)
-        for key_m in range(min(m_max, n_max) + 1):
-            for key_n in range(key_m, n_max + 1):
-                m, n = key_m, key_n - key_m
-                entries[(key_m, key_n)] = complex(
-                    math.exp(
-                        _log_poch(q + n - 1.0, m) + _log_poch(float(spec.b), n)
-                        + n * math.log(spec.t) + m * math.log(spec.s)
-                        - math.lgamma(m + 1) - math.lgamma(n + 1)
-                    )
-                )
-    elif isinstance(spec, Lauricella):
-        # series index (m, n) lands at table key (m+n, n)
-        for key_n in range(min(n_max, m_max) + 1):
-            for key_m in range(key_n, m_max + 1):
-                m, n = key_m - key_n, key_n
-                entries[(key_m, key_n)] = complex(
-                    math.exp(
-                        _log_poch(q - 1.0, n) + _log_poch(float(spec.b), m)
-                        + m * math.log(spec.t) + n * math.log(spec.s)
-                        - math.lgamma(m + 1) - math.lgamma(n + 1)
-                    )
-                )
+        key_m, key_n = _triangle(min(m_max, n_max), n_max)
+        m, n = key_m, key_n - key_m
+        # (q+n-1)_m = Gamma(q-1+(m+n)) / Gamma(q-1+n): one lgamma per value of m+n
+        lg_q = np.array([lg(q - 1.0 + k) for k in ks])
+        lp_b = np.array([_log_poch(float(spec.b), k) for k in ks])
+        log_a = (
+            (lg_q[key_n] - lg_q[n]) + lp_b[n] + n * math.log(spec.t) + m * math.log(spec.s)
+            - lg_fact[m] - lg_fact[n]
+        )
+        values = libm_each(math.exp, log_a)
+        keys = zip(key_m.tolist(), key_n.tolist())
     else:  # pragma: no cover
         raise DomainError(f"unknown family spec {spec!r}")
-    return CoefficientTable(alpha=alpha, entries=entries, source="exact")
+    entries = dict(zip(keys, values.ravel().astype(complex).tolist()))
+    return CoefficientTable._of_clean(alpha, entries, "exact")
 
 
 def poisson_szego_profile(

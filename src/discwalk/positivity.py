@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError
 from .quadrature import _values_on
-from .tables import CoefficientTable
+from .tables import CoefficientTable, read_index
 
 
 # --------------------------------------------------------------------------
@@ -117,10 +117,13 @@ class IndexSet:
             raise DomainError(f"index set document must be a JSON object, got {type(doc).__name__}")
         try:
             return cls.of(
-                finite=doc.get("finite", ()),
-                progressions=[(p["offset"], p["step"]) for p in doc.get("progressions", ())],
+                finite=[read_index(e) for e in doc.get("finite", ())],
+                progressions=[
+                    (read_index(p["offset"]), read_index(p["step"]))
+                    for p in doc.get("progressions", ())
+                ],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed index set document: {exc}") from exc
 
     def dumps(self) -> str:

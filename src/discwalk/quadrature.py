@@ -14,6 +14,7 @@ equal weights (exact for trigonometric polynomials of degree < angular_order).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -160,20 +161,20 @@ def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None
     t = np.clip(2.0 * rule.radial_nodes**2 - 1.0, -1.0, 1.0)
     jac = jacobi_R_all(min(m_max, n_max), alpha, np.arange(max(m_max, n_max) + 1), t)  # (k, |d|, R)
 
-    # radial Gauss sums: one reduction per frequency d over its k = min(m, n)
+    # radial Gauss sums: one reduction per frequency d over its k = min(m, n);
+    # acc[d + n_max, k] holds the sum for every (m, n) with m - n = d
     rw = rule.radial_weights
-    acc: dict[int, np.ndarray] = {}
+    acc = np.zeros((m_max + n_max + 1, min(m_max, n_max) + 1), dtype=complex)
     for d in range(-n_max, m_max + 1):
         k_d = min(m_max - max(d, 0), n_max + min(d, 0)) + 1
         radial = jac[:k_d, abs(d)] * rule.radial_nodes ** abs(d)
-        acc[d] = ((rw * radial) * fourier[:, d + n_max]).sum(axis=-1)
+        acc[d + n_max, :k_d] = ((rw * radial) * fourier[:, d + n_max]).sum(axis=-1)
 
-    h = disc_norm_h_rows(m_max, n_max, alpha)
-    entries: dict[tuple[int, int], complex] = {}
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            entries[(m, n)] = complex(h[m][n] * acc[m - n][min(m, n)])
-    return CoefficientTable(alpha=float(alpha), entries=entries, source="extracted")
+    m = np.arange(m_max + 1)[:, None]
+    n = np.arange(n_max + 1)[None, :]
+    values = disc_norm_h_rows(m_max, n_max, alpha) * acc[m - n + n_max, np.minimum(m, n)]
+    entries = dict(zip(product(range(m_max + 1), range(n_max + 1)), values.ravel().tolist()))
+    return CoefficientTable._of_clean(float(alpha), entries, "extracted")
 
 
 def synthesize(table: CoefficientTable, z):

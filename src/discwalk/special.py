@@ -137,10 +137,22 @@ def disc_poly_at_zero(m: int, n: int, alpha: float) -> float:
     return (-1.0) ** n * math.factorial(n) / pochhammer(alpha + 1.0, n)
 
 
-def _norm_h(m: int, n: int, alpha: float, lg_a: float, lg_am: float, lg_m: float,
-            lg_an: float, lg_n: float) -> float:
-    # lg_a = lgamma(alpha+1), lg_ak = lgamma(alpha+k+1), lg_k = lgamma(k+1)
+def libm_each(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (``math.exp`` or ``math.log``) applied to every element of ``x``.
+
+    numpy's exp and log need not round as the C library's do; tables built
+    from per-index arrays take them from ``math`` so that every entry equals
+    its scalar formula bit for bit.
+    """
+    return np.fromiter(map(fn, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
+
+
+def _norm_h(m, n, alpha: float, lg_a: float, lg_am, lg_m, lg_an, lg_n):
+    # lg_a = lgamma(alpha+1), lg_ak = lgamma(alpha+k+1), lg_k = lgamma(k+1);
+    # scalars give a float, index arrays (broadcast together) give an array
     log_binoms = lg_am - lg_a - lg_m + lg_an - lg_a - lg_n
+    if isinstance(log_binoms, np.ndarray):
+        return (m + n + alpha + 1.0) / (alpha + 1.0) * libm_each(math.exp, log_binoms)
     return (m + n + alpha + 1.0) / (alpha + 1.0) * math.exp(log_binoms)
 
 
@@ -159,22 +171,20 @@ def disc_norm_h(m: int, n: int, alpha: float) -> float:
     )
 
 
-def disc_norm_h_rows(m_max: int, n_max: int, alpha: float) -> list[list[float]]:
-    """All h_{m,n}^alpha with m <= m_max, n <= n_max as rows ``h[m][n]``.
+def disc_norm_h_rows(m_max: int, n_max: int, alpha: float) -> np.ndarray:
+    """All h_{m,n}^alpha with m <= m_max, n <= n_max as an array ``h[m, n]``.
 
     Each value equals ``disc_norm_h(m, n, alpha)`` bit for bit; the lgamma
-    values are computed once per index instead of once per entry.
+    values are computed once per index and combined over index arrays.
     """
     _require_index(m_max, n_max, alpha)
     lg = math.lgamma
     ks = range(max(m_max, n_max) + 1)
-    lg_a = lg(alpha + 1.0)
-    lg_ak = [lg(alpha + k + 1.0) for k in ks]
-    lg_k = [lg(k + 1.0) for k in ks]
-    return [
-        [_norm_h(m, n, alpha, lg_a, lg_ak[m], lg_k[m], lg_ak[n], lg_k[n]) for n in range(n_max + 1)]
-        for m in range(m_max + 1)
-    ]
+    lg_ak = np.array([lg(alpha + k + 1.0) for k in ks])
+    lg_k = np.array([lg(k + 1.0) for k in ks])
+    m = np.arange(m_max + 1)[:, None]
+    n = np.arange(n_max + 1)[None, :]
+    return _norm_h(m, n, alpha, lg(alpha + 1.0), lg_ak[m], lg_k[m], lg_ak[n], lg_k[n])
 
 
 def c_denominator(alpha: float) -> float:

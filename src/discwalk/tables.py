@@ -29,6 +29,18 @@ _TABLE_JSON = '{\n  "alpha": %s,\n  "entries": %s\n}\n'
 _ENTRY_JSON = '    {\n      "m": %d,\n      "n": %d,\n      "re": %r,\n      "im": %r\n    }'
 
 
+def read_index(value) -> int:
+    """An integer index from a JSON document: an int, an integral float or a
+    digit string.  A bool or a fractional float raises ``ValueError``; NaN and
+    infinity raise as ``int`` does (``ValueError`` / ``OverflowError``)."""
+    if isinstance(value, bool):
+        raise ValueError(f"index must be an integer, got {value!r}")
+    out = int(value)
+    if isinstance(value, float) and out != value:
+        raise ValueError(f"index must be an integer, got {value!r}")
+    return out
+
+
 @dataclass
 class CoefficientTable:
     alpha: float
@@ -90,7 +102,10 @@ class CoefficientTable:
             alpha = float(doc["alpha"])
             entries: dict[Key, complex] = {}
             for e in doc["entries"]:
-                key = (int(e["m"]), int(e["n"]))
+                m, n = e["m"], e["n"]
+                if type(m) is not int or type(n) is not int:  # a bool goes to read_index too
+                    m, n = read_index(m), read_index(n)
+                key = (m, n)
                 if negative is None and (key[0] < 0 or key[1] < 0):
                     negative = key
                 entries[key] = complex(float(e["re"]), float(e["im"]))

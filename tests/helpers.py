@@ -278,3 +278,83 @@ def spd_verdict_loop(s, n_max: int = 64):
             if not intersects_progression(s, N, j):
                 return SpdVerdict.refuted_at(N, j)
     return SpdVerdict.certified_up_to(n_max)
+
+
+def _exponential_coefficient(q: int, m: int, n: int) -> float:
+    from discwalk import disc_norm_h
+
+    # a_{m,n} = h_{m,n}^{q-2} (q-1)! sum_j 1/(j! (m+n+q-1+j)!)
+    #         = h (q-1)!/nu! * sum_j nu!/(j! (nu+j)!),  nu = m+n+q-1; the prefactor
+    # is taken in log space so that no factorial overflows, and the inner sum
+    # is summed to a 1e-15 relative tail (terms decay factorially).
+    nu = m + n + q - 1
+    term = 1.0
+    total = 1.0
+    j = 0
+    while True:
+        j += 1
+        term /= j * (nu + j)
+        total += term
+        if term <= 1e-15 * total:
+            break
+    log_scale = math.log(disc_norm_h(m, n, float(q - 2))) + math.lgamma(q) - math.lgamma(nu + 1)
+    return math.exp(log_scale) * total
+
+
+def _log_poch(a: float, k: int) -> float:
+    """log of the rising factorial (a)_k for a > 0."""
+    return math.lgamma(a + k) - math.lgamma(a)
+
+
+def family_coefficients_loop(spec, m_max: int, n_max: int) -> CoefficientTable:
+    """Per-entry closed-form tables of Exponential, Aktas, Horn and Lauricella:
+    one inner series and five ``lgamma`` calls per entry, and the public
+    constructor.  These are the loops ``family_coefficients`` replaced; its
+    tables must reproduce them exactly."""
+    from discwalk import Aktas, Exponential, Horn, Lauricella
+
+    q = spec.q
+    alpha = float(q - 2)
+    entries: dict[tuple[int, int], complex] = {}
+    if isinstance(spec, Exponential):
+        for m in range(m_max + 1):
+            for n in range(n_max + 1):
+                entries[(m, n)] = complex(_exponential_coefficient(q, m, n))
+    elif isinstance(spec, Aktas):
+        # series index (m, n) lands at table key (m+n, n)
+        for key_n in range(min(n_max, m_max) + 1):
+            for key_m in range(key_n, m_max + 1):
+                m, n = key_m - key_n, key_n
+                entries[(key_m, key_n)] = complex(
+                    math.exp(
+                        _log_poch(q - 1.0, n) + (m + n) * math.log(spec.t)
+                        - math.lgamma(m + 1) - math.lgamma(n + 1)
+                    )
+                )
+    elif isinstance(spec, Horn):
+        # series index (m, n) lands at table key (m, m+n)
+        for key_m in range(min(m_max, n_max) + 1):
+            for key_n in range(key_m, n_max + 1):
+                m, n = key_m, key_n - key_m
+                entries[(key_m, key_n)] = complex(
+                    math.exp(
+                        _log_poch(q + n - 1.0, m) + _log_poch(float(spec.b), n)
+                        + n * math.log(spec.t) + m * math.log(spec.s)
+                        - math.lgamma(m + 1) - math.lgamma(n + 1)
+                    )
+                )
+    elif isinstance(spec, Lauricella):
+        # series index (m, n) lands at table key (m+n, n)
+        for key_n in range(min(n_max, m_max) + 1):
+            for key_m in range(key_n, m_max + 1):
+                m, n = key_m - key_n, key_n
+                entries[(key_m, key_n)] = complex(
+                    math.exp(
+                        _log_poch(q - 1.0, n) + _log_poch(float(spec.b), m)
+                        + m * math.log(spec.t) + n * math.log(spec.s)
+                        - math.lgamma(m + 1) - math.lgamma(n + 1)
+                    )
+                )
+    else:
+        raise ValueError(f"no closed-form table for {spec!r}")
+    return CoefficientTable(alpha=alpha, entries=entries, source="exact")
