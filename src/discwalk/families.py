@@ -32,7 +32,7 @@ loop as its reference).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -41,7 +41,7 @@ from .errors import ConvergenceError, DomainError
 from .positivity import IndexSet, difference_set
 from .quadrature import DiskRule, expand
 from .special import disc_norm_h, disc_norm_h_rows, ensure_in_disk, libm_each
-from .tables import CoefficientTable
+from .tables import CoefficientTable, read_index
 
 _SERIES_RTOL = 1e-13
 _SERIES_CAP = 200
@@ -166,44 +166,36 @@ _FAMILY_NAMES = {
     Horn: "horn",
     Lauricella: "lauricella",
 }
+_FAMILIES = {name: cls for cls, name in _FAMILY_NAMES.items()}
 
 
 def family_alpha(spec: FamilySpec) -> float:
     return float(spec.q - 2)
 
 
+def _read_param(name: str, key: str, read, value):
+    try:
+        return read(value)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"bad parameter {key!r} for family {name!r}: {exc}") from exc
+
+
 def make_family(name: str, q: int, params: dict | None = None) -> FamilySpec:
+    """Family ``name``; ``q`` and the fields without a default are read as their type."""
+    cls = _FAMILIES.get(name)
+    if cls is None:
+        raise DomainError(f"unknown family {name!r}")
     params = dict(params or {})
     try:
-        if name == "product":
-            return ProductKernel(m=int(params.pop("m")), n=int(params.pop("n")), q=q, **params)
-        if name == "poisson":
-            return PoissonSzego(r=float(params.pop("r")), q=q, **params)
-        if name == "exponential":
-            return Exponential(q=q, **params)
-        if name == "aktas":
-            return Aktas(t=float(params.pop("t")), q=q, **params)
-        if name == "horn":
-            return Horn(
-                t=float(params.pop("t")),
-                s=float(params.pop("s")),
-                b=int(params.pop("b")),
-                q=q,
-                **params,
-            )
-        if name == "lauricella":
-            return Lauricella(
-                t=float(params.pop("t")),
-                s=float(params.pop("s")),
-                b=int(params.pop("b")),
-                q=q,
-                **params,
-            )
+        for f in fields(cls):
+            if f.default is MISSING and f.name != "q":
+                read = read_index if f.type == "int" else float
+                params[f.name] = _read_param(name, f.name, read, params.pop(f.name))
+        return cls(q=_read_param(name, "q", read_index, q), **params)
     except KeyError as exc:
         raise DomainError(f"family {name!r} is missing required parameter {exc}") from exc
     except TypeError as exc:
         raise DomainError(f"bad parameters for family {name!r}: {exc}") from exc
-    raise DomainError(f"unknown family {name!r}")
 
 
 def family_to_dict(spec: FamilySpec) -> dict:
@@ -216,7 +208,7 @@ def family_to_dict(spec: FamilySpec) -> dict:
 
 def family_from_dict(doc: dict) -> FamilySpec:
     try:
-        return make_family(str(doc["family"]), int(doc["q"]), doc.get("params", {}))
+        return make_family(str(doc["family"]), doc["q"], doc.get("params", {}))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, DomainError):
             raise

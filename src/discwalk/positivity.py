@@ -56,11 +56,17 @@ class IndexSet:
 
     @classmethod
     def of(cls, finite=(), progressions=()) -> "IndexSet":
-        progs = tuple(
-            p if isinstance(p, Progression) else Progression(int(p[0]), int(p[1]))
-            for p in progressions
-        )
-        return cls(finite=frozenset(int(e) for e in finite), progressions=progs)
+        """The set of the given elements and (offset, step) pairs, each an exact integer."""
+        try:
+            elements = frozenset(map(read_index, finite))
+            progs = tuple(
+                p if isinstance(p, Progression) else Progression(read_index(p[0]), read_index(p[1]))
+                for p in progressions
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            # read_index's message as it is, so the JSON reader's message is unchanged
+            raise DomainError(str(exc)) from exc
+        return cls(finite=elements, progressions=progs)
 
     def is_empty(self) -> bool:
         return not self.finite and not self.progressions
@@ -117,11 +123,8 @@ class IndexSet:
             raise DomainError(f"index set document must be a JSON object, got {type(doc).__name__}")
         try:
             return cls.of(
-                finite=[read_index(e) for e in doc.get("finite", ())],
-                progressions=[
-                    (read_index(p["offset"]), read_index(p["step"]))
-                    for p in doc.get("progressions", ())
-                ],
+                finite=doc.get("finite", ()),
+                progressions=[(p["offset"], p["step"]) for p in doc.get("progressions", ())],
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed index set document: {exc}") from exc

@@ -216,9 +216,7 @@ def disc_poly_dz(m: int, n: int, alpha: float, z):
 
 
 def disc_poly_dzbar(m: int, n: int, alpha: float, z):
-    """Wirtinger conj(z)-derivative of R_{m,n}^alpha."""
+    """Wirtinger conj(z)-derivative of R_{m,n}^alpha, taken as D_z R_{n,m} at
+    conj z because R_{m,n}(conj z) = R_{n,m}(z); zero for n = 0."""
     _require_index(m, n, alpha)
-    if n == 0:
-        arr = ensure_in_disk(z)
-        return 0j if np.ndim(z) == 0 else np.zeros(arr.shape, dtype=complex)
-    return c_factor(n, m, alpha) * disc_poly(m, n - 1, alpha + 1.0, z)
+    return disc_poly_dz(n, m, alpha, np.conj(z))

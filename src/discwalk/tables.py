@@ -30,7 +30,7 @@ _ENTRY_JSON = '    {\n      "m": %d,\n      "n": %d,\n      "re": %r,\n      "im
 
 
 def read_index(value) -> int:
-    """An integer index from a JSON document: an int, an integral float or a
+    """An exact integer (an index or a parameter): an int, an integral float or a
     digit string.  A bool or a fractional float raises ``ValueError``; NaN and
     infinity raise as ``int`` does (``ValueError`` / ``OverflowError``)."""
     if isinstance(value, bool):

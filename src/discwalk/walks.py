@@ -9,7 +9,10 @@ between spheres of complex dimension q and q + 1):
     montee:    b_{m,n}  at alpha    =  a_{m-1,n} / c_alpha(m, n)  at alpha+1,  m >= 1
 
 with c_alpha(m, n) = m (n + alpha + 1)/(alpha + 1) > 0 for m >= 1, so both
-transforms preserve entrywise nonnegativity by construction.  The Montee
+transforms preserve entrywise nonnegativity by construction.  The conj(z)
+operators follow from R_{m,n}(conj z) = R_{n,m}(z): with the key transpose
+T(m, n) = (n, m), descente_zbar = T∘descente_z∘T and montee_zbar = T∘montee_z∘T
+with the constant unchanged (T keeps the diagonal and its order).  The Montee
 (primitive) operators are implemented only on coefficient space -- that
 transform is exact, whereas numerical antidifferentiation is not; the
 function-space definition is validated through the round trips
@@ -43,16 +46,14 @@ def descente_z(table: CoefficientTable) -> CoefficientTable:
     return CoefficientTable._of_clean(alpha + 1.0, entries, table.source)
 
 
+def _transpose(table: CoefficientTable) -> CoefficientTable:
+    entries = {(n, m): v for (m, n), v in table.entries.items()}
+    return CoefficientTable._of_clean(table.alpha, entries, table.source)
+
+
 def descente_zbar(table: CoefficientTable) -> CoefficientTable:
     """Coefficient table of D_zbar f at level alpha + 1; n = 0 entries have no image."""
-    alpha = table.alpha
-    a1 = c_denominator(alpha)
-    entries = {
-        (m, n - 1): n * (m + alpha + 1.0) / a1 * v
-        for (m, n), v in table.entries.items()
-        if n >= 1
-    }
-    return CoefficientTable._of_clean(alpha + 1.0, entries, table.source)
+    return _transpose(descente_z(_transpose(table)))
 
 
 def descente_x(table: CoefficientTable) -> CoefficientTable:
@@ -96,21 +97,6 @@ class MonteeResult:
         return cls.from_dict(doc)
 
 
-def _montee_constant(entries: dict, alpha: float) -> float:
-    # -(sum of diagonal entries weighted by the origin values); off-diagonal
-    # entries vanish at 0, so only (n, n) with n >= 1 contribute.
-    acc = 0j
-    for (m, n), v in entries.items():
-        if m == n:
-            acc -= v * disc_poly_at_zero(n, n, alpha)
-    if abs(acc.imag) > 1e-9 * (1.0 + abs(acc.real)):
-        raise DomainError(
-            "montee constant came out non-real; input table lacks the real/conjugate "
-            f"structure of a positive definite expansion (imag = {acc.imag!r})"
-        )
-    return float(acc.real)
-
-
 def montee_z(table: CoefficientTable) -> MonteeResult:
     """z-primitive of a table at level alpha+1, expressed at level alpha = alpha+1-1."""
     alpha = table.alpha - 1.0
@@ -123,26 +109,25 @@ def montee_z(table: CoefficientTable) -> MonteeResult:
         (m + 1, n): v / ((m + 1) * (n + alpha + 1.0) / a1)
         for (m, n), v in table.entries.items()
     }
-    constant = _montee_constant(entries, alpha)
+    # constant = -(sum of diagonal entries weighted by the origin values);
+    # off-diagonal entries vanish at 0, so only (n, n) with n >= 1 contribute.
+    acc = 0j
+    for (m, n), v in entries.items():
+        if m == n:
+            acc -= v * disc_poly_at_zero(n, n, alpha)
+    if abs(acc.imag) > 1e-9 * (1.0 + abs(acc.real)):
+        raise DomainError(
+            "montee constant came out non-real; input table lacks the real/conjugate "
+            f"structure of a positive definite expansion (imag = {acc.imag!r})"
+        )
     out = CoefficientTable._of_clean(alpha, entries, table.source)
-    return MonteeResult(table=out, constant=constant)
+    return MonteeResult(table=out, constant=float(acc.real))
 
 
 def montee_zbar(table: CoefficientTable) -> MonteeResult:
     """conj(z)-primitive of a table at level alpha+1, expressed at level alpha."""
-    alpha = table.alpha - 1.0
-    if not alpha > -1.0:
-        raise DomainError(
-            f"montee target parameter alpha = {alpha} must exceed -1 (input table at {table.alpha})"
-        )
-    a1 = c_denominator(alpha)
-    entries = {
-        (m, n + 1): v / ((n + 1) * (m + alpha + 1.0) / a1)
-        for (m, n), v in table.entries.items()
-    }
-    constant = _montee_constant(entries, alpha)
-    out = CoefficientTable._of_clean(alpha, entries, table.source)
-    return MonteeResult(table=out, constant=constant)
+    result = montee_z(_transpose(table))
+    return MonteeResult(table=_transpose(result.table), constant=result.constant)
 
 
 def wirtinger_dz(f, z: complex, h: float = 1e-5) -> complex:
@@ -158,12 +143,5 @@ def wirtinger_dz(f, z: complex, h: float = 1e-5) -> complex:
 
 
 def wirtinger_dzbar(f, z: complex, h: float = 1e-5) -> complex:
-    """Central-difference Wirtinger conj(z)-derivative (D_x f + i D_y f)/2."""
-    if abs(z) + h >= 1.0:
-        raise DomainError(
-            f"finite-difference stencil leaves the disk: |z| + h = {abs(z) + h!r} >= 1"
-        )
-    ensure_in_disk(z)
-    fx = (f(z + h) - f(z - h)) / (2.0 * h)
-    fy = (f(z + 1j * h) - f(z - 1j * h)) / (2.0 * h)
-    return (fx + 1j * fy) / 2.0
+    """Central-difference Wirtinger conj(z)-derivative: D_z of f(conj w) at conj z."""
+    return wirtinger_dz(lambda w: f(w.conjugate()), z.conjugate(), h)

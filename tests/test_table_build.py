@@ -138,3 +138,25 @@ def test_walk_of_a_fractional_index_exits_2_with_one_line(tmp_path, capsys):
     assert rc == 2
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("finite, progressions", [
+    ([1.5], []),
+    ([True], []),
+    ([float("nan")], []),
+    ([None], []),
+    ([], [(0.5, 2)]),
+    ([], [(0, 2.7)]),
+    ([], [(0, float("inf"))]),
+], ids=range(7))
+def test_index_set_of_refuses_what_it_cannot_represent_exactly(finite, progressions):
+    with pytest.raises(DomainError) as exc:
+        IndexSet.of(finite=finite, progressions=progressions)
+    assert "\n" not in str(exc.value)
+
+
+def test_index_set_of_takes_integral_floats():
+    s = IndexSet.of(finite=[2.0, -1], progressions=[(4.0, 5)])
+    assert s == IndexSet.of(finite=[2, -1], progressions=[(4, 5)])
+    assert all(type(e) is int for e in s.finite)
+    assert all(type(p.offset) is int and type(p.step) is int for p in s.progressions)
