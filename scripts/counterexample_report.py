@@ -13,9 +13,7 @@ from discwalk import descente_x, descente_z, descente_zbar
 def describe(verdict) -> str:
     if verdict.kind == "refuted_at":
         return f"not SPD (misses {verdict.N}Z+{verdict.j})"
-    if verdict.kind == "certified_exact":
-        return f"SPD ({verdict.reason})"
-    return f"SPD up to N={verdict.n_max}"
+    return f"SPD ({verdict.reason})"
 
 
 def main() -> None:

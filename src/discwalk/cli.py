@@ -11,8 +11,7 @@ plot-data       CSV samples of a kernel on a Cartesian grid over [-1, 1]^2
 
 Exit codes: 0 success, 2 usage/domain error, 3 quadrature capacity error,
 4 counterexample verdict mismatch.  Verdicts themselves are data and exit 0.
-All outputs are deterministic given flags and seed.  ``--nmax`` bounds the
-expansion indices for ``expand`` and the progression check N_max elsewhere.
+All outputs are deterministic given flags and seed.
 """
 
 from __future__ import annotations
@@ -164,8 +163,7 @@ def _cmd_check(args) -> int:
         s = IndexSet.loads(_read_text_or_inline(args.set))
         doc = {
             "input": "set",
-            "n_max": args.nmax,
-            "spd": spd_verdict(s, args.nmax).to_dict(),
+            "spd": spd_verdict(s).to_dict(),
         }
     elif args.infile:
         table = CoefficientTable.load(args.infile)
@@ -174,7 +172,6 @@ def _cmd_check(args) -> int:
         doc = {
             "input": "table",
             "q": q,
-            "n_max": args.nmax,
             "pd": {
                 "ok": report.ok,
                 "violations": [
@@ -187,7 +184,7 @@ def _cmd_check(args) -> int:
         if report.ok:
             s = difference_set(table, threshold=args.threshold, min_index=0)
             doc["set"] = s.to_dict()
-            doc["spd"] = spd_verdict(s, args.nmax).to_dict()
+            doc["spd"] = spd_verdict(s).to_dict()
     else:
         raise DomainError("one of --in or --set is required")
     print(json.dumps(doc, indent=2))
@@ -221,7 +218,7 @@ def _cmd_counterexample(args) -> int:
     pd_flags = {}
     match = True
     for op in ("f", "dz", "dzbar", "dx"):
-        verdict = spd_verdict(sets[op], args.nmax)
+        verdict = spd_verdict(sets[op])
         verdicts[op] = verdict.to_dict()
         pd_flags[op] = is_pd(walked[op], tol=args.tol).ok
         if verdict.is_spd != expected[op] or not pd_flags[op]:
@@ -230,7 +227,6 @@ def _cmd_counterexample(args) -> int:
         "case": args.case,
         "q": q,
         "truncation": args.truncation,
-        "n_max": args.nmax,
         "expected_spd": expected,
         "pd": pd_flags,
         "verdicts": verdicts,
@@ -312,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common], help="PD / strict-PD verdict")
     p.add_argument("--in", dest="infile", help="coefficient table JSON file")
     p.add_argument("--set", help="index set JSON (inline or @file)")
-    p.add_argument("--nmax", type=int, default=64, help="progression check bound N_max")
     p.add_argument("--threshold", type=float, default=0.0,
                    help="strict positivity threshold for the difference set")
     p.set_defaults(func=_cmd_check)
@@ -325,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", parents=[common], help="reproduce walk counterexamples")
     p.add_argument("--case", required=True, choices=["i", "ii", "iii"])
     p.add_argument("--truncation", type=int, default=40)
-    p.add_argument("--nmax", type=int, default=64, help="progression check bound N_max")
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("plot-data", parents=[common], help="CSV grid samples of a kernel")

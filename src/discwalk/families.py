@@ -181,14 +181,15 @@ def _read_param(name: str, key: str, read, value):
 
 
 def make_family(name: str, q: int, params: dict | None = None) -> FamilySpec:
-    """Family ``name``; ``q`` and the fields without a default are read as their type."""
+    """Family ``name``; ``q``, the fields without a default and every given field
+    are read as their declared type."""
     cls = _FAMILIES.get(name)
     if cls is None:
         raise DomainError(f"unknown family {name!r}")
     params = dict(params or {})
     try:
         for f in fields(cls):
-            if f.default is MISSING and f.name != "q":
+            if f.name != "q" and (f.default is MISSING or f.name in params):
                 read = read_index if f.type == "int" else float
                 params[f.name] = _read_param(name, f.name, read, params.pop(f.name))
         return cls(q=_read_param(name, "q", read_index, q), **params)

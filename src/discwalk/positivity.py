@@ -5,17 +5,17 @@ positive definite iff all expansion coefficients a_{m,n}^{q-2} are nonnegative
 and summable, and strictly positive definite iff additionally the difference
 set {m - n : a_{m,n} > 0} meets every arithmetic progression N Z + j.
 
-Difference sets are represented exactly as a finite part plus half-infinite
-progressions {offset + step k : k >= 0}, so membership and intersection with a
-residue class are integer-exact.  Strictness over *all* N is undecidable from
-a finite table alone; verdicts therefore carry their epistemic status:
+Difference sets are represented exactly as a finite part F plus half-infinite
+progressions P = {offset + step k : k >= 0}, so membership and intersection
+with a residue class are integer-exact, and every verdict is exact:
 
-* ``certified_exact`` -- a sufficient rule fired (a step-1 progression is
-  cofinal in Z+ or -Z+, hence meets everything), or the set is
-  progressions-only and the divisor-closure scan over N | lcm(|steps|) is an
-  exact decision procedure (coverage mod N depends only on gcd(N, lcm)).
-* ``refuted_at`` -- a concrete empty intersection with N Z + j was found.
-* ``certified_up_to`` -- mixed finite/progression sets checked for N <= N_max.
+* ``certified_exact`` -- a step-1 progression is cofinal in Z+ or -Z+, hence
+  meets everything; or P alone passes the divisor-closure scan over
+  N | lcm(|steps|), which decides all N because P's coverage mod N depends only
+  on gcd(N, lcm).  F never matters: where P misses a class mod g it misses at
+  least |F| + 1 classes mod g (|F| + 1), and F fills at most |F| of them.
+* ``refuted_at`` -- the smallest N with a class N Z + j that S misses, and the
+  smallest such j.
 
 Empirical Gram-matrix checks on sampled sphere points are evidence for
 positive definiteness, never a certificate of strictness.
@@ -164,11 +164,10 @@ def intersects_progression(s: IndexSet, N: int, j: int) -> bool:
 
 @dataclass(frozen=True)
 class SpdVerdict:
-    kind: str                 # "refuted_at" | "certified_exact" | "certified_up_to"
+    kind: str                 # "refuted_at" | "certified_exact"
     N: int | None = None
     j: int | None = None
     reason: str | None = None
-    n_max: int | None = None
 
     @property
     def is_spd(self) -> bool:
@@ -182,20 +181,10 @@ class SpdVerdict:
     def certified_exact(cls, reason: str) -> "SpdVerdict":
         return cls(kind="certified_exact", reason=reason)
 
-    @classmethod
-    def certified_up_to(cls, n_max: int) -> "SpdVerdict":
-        return cls(kind="certified_up_to", n_max=n_max)
-
     def to_dict(self) -> dict:
-        doc: dict = {"kind": self.kind}
         if self.kind == "refuted_at":
-            doc["N"] = self.N
-            doc["j"] = self.j
-        elif self.kind == "certified_exact":
-            doc["reason"] = self.reason
-        else:
-            doc["n_max"] = self.n_max
-        return doc
+            return {"kind": self.kind, "N": self.N, "j": self.j}
+        return {"kind": self.kind, "reason": self.reason}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SpdVerdict":
@@ -204,8 +193,6 @@ class SpdVerdict:
             return cls.refuted_at(int(doc["N"]), int(doc["j"]))
         if kind == "certified_exact":
             return cls.certified_exact(str(doc["reason"]))
-        if kind == "certified_up_to":
-            return cls.certified_up_to(int(doc["n_max"]))
         raise DomainError(f"unknown verdict kind {kind!r}")
 
 
@@ -237,27 +224,21 @@ def _first_missed_residue(s: IndexSet, N: int) -> int:
     return covered.find(0)
 
 
-def spd_verdict(s: IndexSet, n_max: int = 64) -> SpdVerdict:
-    """Decide whether S meets every residue class N Z + j (all N >= 1)."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+def spd_verdict(s: IndexSet) -> SpdVerdict:
+    """Decide exactly whether S meets every residue class N Z + j (all N >= 1)."""
     if any(abs(p.step) == 1 for p in s.progressions):
         return SpdVerdict.certified_exact("step-1 progression")
-    if not s.finite:
-        # progressions only (or empty): coverage mod N depends only on
-        # gcd(N, L), so scanning the divisors of L decides all N exactly.
-        steps = [abs(p.step) for p in s.progressions]
-        L = math.lcm(*steps) if steps else 1
-        for N in _divisors(L):
-            j = _first_missed_residue(s, N)
-            if j >= 0:
-                return SpdVerdict.refuted_at(N, j)
+    progressions = IndexSet(progressions=s.progressions)
+    L = math.lcm(*(abs(p.step) for p in s.progressions))
+    g = next((N for N in _divisors(L) if _first_missed_residue(progressions, N) >= 0), None)
+    if g is None:
         return SpdVerdict.certified_exact("divisor closure")
-    for N in range(1, n_max + 1):
-        j = _first_missed_residue(s, N)
-        if j >= 0:
-            return SpdVerdict.refuted_at(N, j)
-    return SpdVerdict.certified_up_to(n_max)
+    # P meets every class mod N < g (mod gcd(N, L) < g it does), so S does too;
+    # the scan stops by N = g (|F| + 1), where F cannot fill the classes P misses
+    N = g
+    while (j := _first_missed_residue(s, N)) < 0:
+        N += 1
+    return SpdVerdict.refuted_at(N, j)
 
 
 # --------------------------------------------------------------------------
@@ -296,7 +277,6 @@ def difference_set(table: CoefficientTable, threshold: float = 0.0, min_index: i
 def is_spd(
     table: CoefficientTable,
     q: int,
-    n_max: int = 64,
     tol: float = 1e-10,
     threshold: float = 0.0,
     declared_set: IndexSet | None = None,
@@ -319,7 +299,7 @@ def is_spd(
     if not report.ok:
         raise NotPositiveDefiniteError(report.violations)
     s = declared_set if declared_set is not None else difference_set(table, threshold, 0)
-    return spd_verdict(s, n_max)
+    return spd_verdict(s)
 
 
 # --------------------------------------------------------------------------

@@ -29,6 +29,15 @@ _TABLE_JSON = '{\n  "alpha": %s,\n  "entries": %s\n}\n'
 _ENTRY_JSON = '    {\n      "m": %d,\n      "n": %d,\n      "re": %r,\n      "im": %r\n    }'
 
 
+def _refuse_non_finite(entries: dict[Key, complex], action: str) -> None:
+    """One summing pass; only if the sum is not finite, a DomainError naming the
+    first non-finite entry in (m, n) order (finite entries may overflow the sum)."""
+    if not cmath.isfinite(sum(entries.values())):
+        for (m, n), v in sorted(entries.items()):
+            if not cmath.isfinite(v):
+                raise DomainError(f"cannot {action} non-finite coefficient ({m}, {n}) = {v!r}")
+
+
 def read_index(value) -> int:
     """An exact integer (an index or a parameter): an int, an integral float or a
     digit string.  A bool or a fractional float raises ``ValueError``; NaN and
@@ -96,7 +105,8 @@ class CoefficientTable:
     @classmethod
     def from_dict(cls, doc: dict, source: str = "exact") -> "CoefficientTable":
         # one pass converts and checks every entry; the refusals come in the
-        # public constructor's order: malformed document, alpha, first bad index
+        # public constructor's order (malformed document, alpha, first bad
+        # index), then the first non-finite entry, which JSON cannot spell
         negative = None
         try:
             alpha = float(doc["alpha"])
@@ -114,6 +124,7 @@ class CoefficientTable:
         table = cls._of_clean(alpha, entries, source)
         if negative is not None:
             raise DomainError(f"bad table index {negative!r}")
+        _refuse_non_finite(entries, "read")
         return table
 
     def nonnegativity_violations(self, tol: float) -> list[tuple[int, int, complex]]:
@@ -131,11 +142,8 @@ class CoefficientTable:
 
         Non-finite entries have no JSON spelling and are refused.
         """
+        _refuse_non_finite(self.entries, "write")
         items = self.sorted_items()
-        if not cmath.isfinite(sum(self.entries.values())):
-            for (m, n), v in items:
-                if not cmath.isfinite(v):
-                    raise DomainError(f"cannot write non-finite coefficient ({m}, {n}) = {v!r}")
         body = ",\n".join([_ENTRY_JSON % (m, n, v.real, v.imag) for (m, n), v in items])
         return _TABLE_JSON % (json.dumps(self.alpha), f"[\n{body}\n  ]" if items else "[]")
 

@@ -258,26 +258,21 @@ def walk_loop(op: str, table: CoefficientTable):
     return CoefficientTable(alpha=b, entries=entries, source=table.source), float(constant.real)
 
 
-def spd_verdict_loop(s, n_max: int = 64):
+def spd_verdict_loop(s):
     """SPD verdict from one ``intersects_progression`` call per (N, j), scanned
-    in ascending order; ``spd_verdict`` must give the same verdict and the
-    same smallest witness."""
-    from discwalk.positivity import SpdVerdict, _divisors, intersects_progression
+    in ascending order over N = 1 .. L (|F| + 1), L the lcm of the steps: a set
+    that misses a class at all misses one by then.  ``spd_verdict`` must give
+    the same verdict and the same smallest witness."""
+    from discwalk.positivity import SpdVerdict, intersects_progression
 
     if any(abs(p.step) == 1 for p in s.progressions):
         return SpdVerdict.certified_exact("step-1 progression")
-    if not s.finite:
-        steps = [abs(p.step) for p in s.progressions]
-        for N in _divisors(math.lcm(*steps) if steps else 1):
-            for j in range(N):
-                if not intersects_progression(s, N, j):
-                    return SpdVerdict.refuted_at(N, j)
-        return SpdVerdict.certified_exact("divisor closure")
-    for N in range(1, n_max + 1):
+    L = math.lcm(*(abs(p.step) for p in s.progressions))
+    for N in range(1, L * (len(s.finite) + 1) + 1):
         for j in range(N):
             if not intersects_progression(s, N, j):
                 return SpdVerdict.refuted_at(N, j)
-    return SpdVerdict.certified_up_to(n_max)
+    return SpdVerdict.certified_exact("divisor closure")
 
 
 def _exponential_coefficient(q: int, m: int, n: int) -> float:

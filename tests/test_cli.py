@@ -296,6 +296,13 @@ def test_usage_error_exit_code():
     assert cli.main([]) == 2
 
 
+def test_verdict_commands_have_no_search_bound(capsys):
+    # verdicts are exact, so neither command takes a bound on N
+    assert cli.main(["check", "--set", '{"finite": [0]}', "--nmax", "5"]) == 2
+    assert cli.main(["counterexample", "--case", "i", "--nmax", "5"]) == 2
+    assert "--nmax" in capsys.readouterr().err
+
+
 def _count_calls(monkeypatch, name: str) -> list:
     calls = []
     inner = getattr(cli, name)

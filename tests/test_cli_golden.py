@@ -73,22 +73,22 @@ _GOLDEN = {
     "walk-dx-a0.json": "757b3c3e39691cbbb3c2ac14338423e93d472f8d8101d4bdcd6585ca56854163",
     "walk-iz-a0.json": "09dfc72e466e012ed058f98165d26ae34cee8dba4efe4b5b50170842a679b1f6",
     "walk-izbar-a0.json": "09dfc72e466e012ed058f98165d26ae34cee8dba4efe4b5b50170842a679b1f6",
-    "check-a0.json": "873cda3747042fb17142e5166f554fb6c0d9567e9ad9157e577b04f2d673536d",
+    "check-a0.json": "4189894264a2924e55454286dd69b18e8f66b449fac24da9931fda20890fa428",
     "walk-dz-a1.json": "3ffb6ceb074c43feaa0ca88a36a4fcfea46918a79b40c9a2d51fece4522068f9",
     "walk-dzbar-a1.json": "60f327e3877802ab091b155bd0d1832e477d95f2bd2a1d38841effd7d7739c07",
     "walk-dx-a1.json": "516719922d62655827e9db117ed0552108f9956c51d3dacc96f778e4d61e84d9",
     "walk-iz-a1.json": "2afa17275f8781f5c7340e62b5a95181442daa108f9c0b1423057bed815bb688",
     "walk-izbar-a1.json": "2765caad519ea88f4be68fdae2161646b93f0cae548bdab863cad9bbcc61d159",
-    "check-a1.json": "8a088fbf784b54e51f637a94b4c02706958dda5aaf41d3fdedcb30f41fc727ff",
-    "check-set-finite": "53da89833c8dd77284d0294f85592b0a0b2b78443282af4f224fb441b0c0598f",
-    "check-set-progressions": "d0a1a89ed54f1b2410ea6e8a307fc4ee936a89ff0bbc05bfd5966ec602323644",
-    "check-set-mixed": "d5e338c855291067ec6f9565a1b198ddf294b84860019a28b8d55f1274886ae2",
-    "counterexample-i-q2": "d9a15d7315b1ff5e998c91d200fde56f471e2b08e82fba6d372227a5553e202c",
-    "counterexample-i-q3": "e103eaa09ba094f560c87670e41a0faaa1339b42e739c47d6e47bf262b3619a2",
-    "counterexample-ii-q2": "0778b039b96365581b2f38f5c00fe818026f78ac955acff66de50c0215c748b9",
-    "counterexample-ii-q3": "a2129af9bda2a0558ae7c5c5de67630460ed33c48e3eb05d758e58f031632065",
-    "counterexample-iii-q2": "e6df0db8a7ad9c58714550506baeacf1c4e0e9cabc906fd932ced6ad96ad7e33",
-    "counterexample-iii-q3": "6723dd77de836729174273ae13a63a09f71ab33ad430b7095b80fe41f5383b08",
+    "check-a1.json": "27cdc7457bc2402c0b6717c3f1cdb84c70a74cd75da26a10b88cfc6a2c22f9cb",
+    "check-set-finite": "2adaa824b3f7c1d0ec329d70b02d23e59d8d8a256400d71cb1960564f14f1065",
+    "check-set-progressions": "ee54f77e641e333dc72543dadd2fb4829c0b14210bacfb376b98140bb44fd620",
+    "check-set-mixed": "04d2d00d211f2474091c119e2fb409f66857c96d35d9bb2d753357a86ed3ab12",
+    "counterexample-i-q2": "867b7fb38a52d960b29477317c013f5078a47e7a48411c3e417ff20d9febe3f4",
+    "counterexample-i-q3": "811b36481fbe40b452459007098514079713ce9892acbf9464607ba869a5bf21",
+    "counterexample-ii-q2": "19a573f56540c6d4d03db8c88675a7e5cf3187a1d0f9f4494a2b41584a038ef3",
+    "counterexample-ii-q3": "f95a380ff71613e6535e33de142ba24ff6039c046fb9afa3704023d0b3cf65fd",
+    "counterexample-iii-q2": "6f2013000e434c37ff2e93bacaad942673d6e3fa97feaf429e1c01fd69346132",
+    "counterexample-iii-q3": "9b8135f45c5e13588655f3fd611650e30e960611b29316e5490618ad784e27f6",
 }
 
 

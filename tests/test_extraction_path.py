@@ -189,7 +189,7 @@ def test_walk_of_a_nan_table_exits_2_with_one_line(tmp_path, capsys):
     rc = cli.main(["walk", "--op", "dz", "--in", str(src), "--out", str(tmp_path / "o.json")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.count("\n") == 1 and "(1, 1)" in err
+    assert err.count("\n") == 1 and "(2, 1)" in err
 
 
 def test_nan_entries_fail_the_nonnegativity_gate():

@@ -60,6 +60,22 @@ def test_make_family_refuses_parameters_it_cannot_read_exactly(name, params, key
     assert "\n" not in str(exc.value)
 
 
+def test_optional_fields_are_read_as_their_type():
+    doc = {"family": "horn", "q": 2, "params": {"t": 0.1, "s": 0.1, "b": 2, "rx": True, "ry": 3}}
+    spec = family_from_dict(doc)
+    assert type(spec.rx) is float and type(spec.ry) is float
+    assert family_to_dict(spec)["params"]["rx"] is not True
+    assert make_family("lauricella", 2, {"t": 0.2, "s": 0.1, "b": 2, "r2": "0.4"}).r2 == 0.4
+
+
+def test_cli_names_a_bad_optional_field(tmp_path, capsys):
+    doc = '{"family": "lauricella", "q": 2, "params": {"t": 0.2, "s": 0.1, "b": 2, "r2": "x"}}'
+    rc = cli.main(["expand", "--family", doc, "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert err.startswith("error: bad parameter 'r2' for family 'lauricella': ")
+
+
 @pytest.mark.parametrize("q", [2.9, True, float("inf"), "2.5"], ids=range(4))
 def test_family_document_q_must_be_an_integer(q):
     with pytest.raises(DomainError, match="parameter 'q'"):

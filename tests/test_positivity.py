@@ -11,6 +11,7 @@ from discwalk import (
     COUNTEREXAMPLE_EXPECTED,
     CoefficientTable,
     DomainError,
+    Exponential,
     IndexSet,
     NotPositiveDefiniteError,
     Progression,
@@ -20,7 +21,9 @@ from discwalk import (
     descente_x,
     descente_z,
     descente_zbar,
+    difference_pattern,
     difference_set,
+    family_coefficients,
     gram_matrix,
     intersects_progression,
     is_pd,
@@ -138,15 +141,14 @@ def test_verdict_refutes_single_residue_progression():
     assert (v.N, v.j) == (5, 0)
 
 
-def test_verdict_mixed_sets_bounded():
+def test_verdict_mixed_sets_exact():
     s = IndexSet.of(finite=[0, 1], progressions=[(0, 2)])
-    v = spd_verdict(s, n_max=7)
+    v = spd_verdict(s)
     # evens from the progression plus the finite 1 cover residues only up to N = 2;
     # N = 4 misses j = 3 (odd numbers beyond 1 are absent)
     assert v.kind == "refuted_at" and (v.N, v.j) == (4, 3)
     full = IndexSet.of(finite=[3], progressions=[(0, 2), (1, 4), (7, 4)])
-    v2 = spd_verdict(full, n_max=12)
-    assert v2.kind in ("certified_up_to", "certified_exact")
+    assert spd_verdict(full) == SpdVerdict.certified_exact("divisor closure")
 
 
 def test_verdict_refutations_are_sound():
@@ -167,9 +169,55 @@ def test_verdict_json_round_trip():
     for v in (
         SpdVerdict.refuted_at(5, 0),
         SpdVerdict.certified_exact("divisor closure"),
-        SpdVerdict.certified_up_to(64),
     ):
         assert SpdVerdict.from_dict(v.to_dict()) == v
+    with pytest.raises(DomainError):
+        SpdVerdict.from_dict({"kind": "certified_up_to", "n_max": 64})
+
+
+def _first_missed_class_by_enumeration(s: IndexSet):
+    """(N, j) of the first class N Z + j that S misses, N = 1 .. L (|F| + 1) with
+    L the lcm of the steps, from the elements of S reduced mod N; None if none."""
+    steps = [abs(p.step) for p in s.progressions]
+    reach = max((abs(e) for e in s.finite), default=0) + max((abs(p.offset) for p in s.progressions), default=0)
+    for N in range(1, math.lcm(*steps) * (len(s.finite) + 1) + 1):
+        # a progression's residues mod N recur after N of its steps
+        els = s.elements_within(reach + N * max(steps, default=0))
+        missed = np.setdiff1d(np.arange(N), np.mod(els, N))
+        if missed.size:
+            return N, int(missed[0])
+    return None
+
+
+def test_verdict_matches_enumeration_on_finite_progression_and_mixed_sets():
+    rng = np.random.default_rng(2017)
+    seen = set()
+    for i in range(1200):
+        shape = ("finite", "progressions", "mixed")[i % 3]
+        finite = [] if shape == "progressions" else rng.integers(-20, 21, int(rng.integers(1, 7))).tolist()
+        progs = []
+        for _ in range(0 if shape == "finite" else int(rng.integers(1, 4))):
+            mag = 1 if rng.random() < 0.1 else int(rng.integers(2, 7))
+            progs.append((int(rng.integers(-20, 21)), mag * (1 if rng.random() < 0.5 else -1)))
+        s = IndexSet.of(finite=finite, progressions=progs)
+        v = spd_verdict(s)
+        brute = _first_missed_class_by_enumeration(s)
+        if brute is None:
+            assert v.kind == "certified_exact", (s, v)
+        else:
+            assert (v.kind, v.N, v.j) == ("refuted_at", *brute), (s, v)
+        seen.add((shape, v.kind))
+    assert seen == {("finite", "refuted_at")} | {
+        (shape, kind) for shape in ("progressions", "mixed") for kind in ("refuted_at", "certified_exact")
+    }
+
+
+def test_truncated_exponential_table_is_refuted_past_64():
+    # the 81 differences -40..40 meet every class mod N <= 81; mod 82 they miss 41
+    table = family_coefficients(Exponential(q=2), 40, 40)
+    assert is_spd(table, 2) == SpdVerdict.refuted_at(82, 41)
+    pattern = difference_pattern(Exponential(q=2))
+    assert is_spd(table, 2, declared_set=pattern).kind == "certified_exact"
 
 
 # ------------------------------------------------------- table-level deciders

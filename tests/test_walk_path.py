@@ -235,14 +235,13 @@ _progressions = st.lists(_progression, min_size=1, max_size=3)
     shape=st.sampled_from(["finite", "progressions", "mixed"]),
     finite=_finite,
     progs=_progressions,
-    n_max=st.integers(1, 40),
 )
-def test_spd_verdict_equals_the_per_residue_scan(shape, finite, progs, n_max):
+def test_spd_verdict_equals_the_per_residue_scan(shape, finite, progs):
     s = IndexSet.of(
         finite=finite if shape != "progressions" else (),
         progressions=progs if shape != "finite" else (),
     )
-    assert spd_verdict(s, n_max) == spd_verdict_loop(s, n_max)
+    assert spd_verdict(s) == spd_verdict_loop(s)
 
 
 @pytest.mark.parametrize("s", [
@@ -254,7 +253,7 @@ def test_spd_verdict_equals_the_per_residue_scan(shape, finite, progs, n_max):
     IndexSet.of(progressions=[(7, -6), (0, 4)]),
 ])
 def test_spd_verdict_equals_the_per_residue_scan_on_fixed_sets(s):
-    assert spd_verdict(s, 12) == spd_verdict_loop(s, 12)
+    assert spd_verdict(s) == spd_verdict_loop(s)
 
 
 def test_spd_verdict_makes_no_per_residue_calls(monkeypatch):
