@@ -141,12 +141,14 @@ def test_verdict_refutes_single_residue_progression():
     assert (v.N, v.j) == (5, 0)
 
 
-def test_verdict_mixed_sets_exact():
+def test_verdict_mixed_sets_bounded():
     s = IndexSet.of(finite=[0, 1], progressions=[(0, 2)])
     v = spd_verdict(s)
     # evens from the progression plus the finite 1 cover residues only up to N = 2;
     # N = 4 misses j = 3 (odd numbers beyond 1 are absent)
     assert v.kind == "refuted_at" and (v.N, v.j) == (4, 3)
+    # the progression first misses a class at g = 2, so the scan stops by g (|F| + 1) = 6
+    assert v.N <= 2 * (2 + 1)
     full = IndexSet.of(finite=[3], progressions=[(0, 2), (1, 4), (7, 4)])
     assert spd_verdict(full) == SpdVerdict.certified_exact("divisor closure")
 
