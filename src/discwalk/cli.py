@@ -10,7 +10,8 @@ counterexample  reproduce the walk counterexamples and compare verdicts
 plot-data       CSV samples of a kernel on a Cartesian grid over [-1, 1]^2
 
 Exit codes: 0 success, 2 usage/domain error, 3 quadrature capacity error,
-4 counterexample verdict mismatch.  Verdicts themselves are data and exit 0.
+4 counterexample verdict mismatch, 1 when stdout is closed before the output
+is written, with no message.  Verdicts themselves are data and exit 0.
 All outputs are deterministic given flags and seed.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -46,6 +48,7 @@ from .quadrature import build_rule, coefficient_sum, default_rule, expand, synth
 from .tables import CoefficientTable
 from .walks import descente_x, descente_z, descente_zbar, montee_z, montee_zbar
 
+_COMMANDS = ("expand", "walk", "check", "gram", "counterexample", "plot-data")
 _WALK_OPS = {
     "dz": descente_z,
     "dzbar": descente_zbar,
@@ -278,62 +281,70 @@ def _add_family_inputs(p: argparse.ArgumentParser, with_table: bool = False) -> 
         p.add_argument("--in", dest="infile", help="coefficient table JSON file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _subparser(sub, selected: str | None, name: str, help: str) -> argparse.ArgumentParser | None:
+    if selected not in _COMMANDS or selected == name:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--q", type=int, default=None, help="complex sphere parameter (q >= 2)")
+        p.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance")
+        p.add_argument("--seed", type=int, default=42, help="RNG seed")
+        return p
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="discwalk",
         description="Disc-polynomial expansions, dimension walks and positive definiteness "
         "of isotropic kernels on complex spheres.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=int, default=None, help="complex sphere parameter (q >= 2)")
-    common.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance")
-    common.add_argument("--seed", type=int, default=42, help="RNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[common], help="expand a family into a coefficient table")
-    _add_family_inputs(p)
-    p.add_argument("--mmax", type=int, default=8, help="largest z-index m in the table")
-    p.add_argument("--nmax", type=int, default=8, help="largest conj(z)-index n in the table")
-    p.add_argument("--out", required=True)
-    p.add_argument("--radial-order", type=int, default=None)
-    p.add_argument("--angular-order", type=int, default=None)
-    p.set_defaults(func=_cmd_expand)
+    if p := _subparser(sub, command, "expand", "expand a family into a coefficient table"):
+        _add_family_inputs(p)
+        p.add_argument("--mmax", type=int, default=8, help="largest z-index m in the table")
+        p.add_argument("--nmax", type=int, default=8, help="largest conj(z)-index n in the table")
+        p.add_argument("--out", required=True)
+        p.add_argument("--radial-order", type=int, default=None)
+        p.add_argument("--angular-order", type=int, default=None)
+        p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("walk", parents=[common], help="apply a dimension-walk operator")
-    p.add_argument("--op", required=True, choices=sorted(_WALK_OPS))
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_walk)
+    if p := _subparser(sub, command, "walk", "apply a dimension-walk operator"):
+        p.add_argument("--op", required=True, choices=sorted(_WALK_OPS))
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_walk)
 
-    p = sub.add_parser("check", parents=[common], help="PD / strict-PD verdict")
-    p.add_argument("--in", dest="infile", help="coefficient table JSON file")
-    p.add_argument("--set", help="index set JSON (inline or @file)")
-    p.add_argument("--threshold", type=float, default=0.0,
-                   help="strict positivity threshold for the difference set")
-    p.set_defaults(func=_cmd_check)
+    if p := _subparser(sub, command, "check", "PD / strict-PD verdict"):
+        p.add_argument("--in", dest="infile", help="coefficient table JSON file")
+        p.add_argument("--set", help="index set JSON (inline or @file)")
+        p.add_argument("--threshold", type=float, default=0.0,
+                       help="strict positivity threshold for the difference set")
+        p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("gram", parents=[common], help="Gram matrix eigenvalue check")
-    _add_family_inputs(p, with_table=True)
-    p.add_argument("--points", type=int, default=40)
-    p.set_defaults(func=_cmd_gram)
+    if p := _subparser(sub, command, "gram", "Gram matrix eigenvalue check"):
+        _add_family_inputs(p, with_table=True)
+        p.add_argument("--points", type=int, default=40)
+        p.set_defaults(func=_cmd_gram)
 
-    p = sub.add_parser("counterexample", parents=[common], help="reproduce walk counterexamples")
-    p.add_argument("--case", required=True, choices=["i", "ii", "iii"])
-    p.add_argument("--truncation", type=int, default=40)
-    p.set_defaults(func=_cmd_counterexample)
+    if p := _subparser(sub, command, "counterexample", "reproduce walk counterexamples"):
+        p.add_argument("--case", required=True, choices=["i", "ii", "iii"])
+        p.add_argument("--truncation", type=int, default=40)
+        p.set_defaults(func=_cmd_counterexample)
 
-    p = sub.add_parser("plot-data", parents=[common], help="CSV grid samples of a kernel")
-    _add_family_inputs(p, with_table=True)
-    p.add_argument("--grid", type=int, default=41)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plot_data)
+    if p := _subparser(sub, command, "plot-data", "CSV grid samples of a kernel"):
+        _add_family_inputs(p, with_table=True)
+        p.add_argument("--grid", type=int, default=41)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_plot_data)
+
+    # usage prints the choices, so the unbuilt names stay in them, in their order
+    sub.choices.update({name: sub.choices.pop(name, None) for name in _COMMANDS})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -347,7 +358,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -196,15 +196,13 @@ class SpdVerdict:
         raise DomainError(f"unknown verdict kind {kind!r}")
 
 
-def _divisors(n: int) -> list[int]:
-    out = set()
-    d = 1
-    while d * d <= n:
+def _divisors(n: int):
+    cofactors = []
+    for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+            yield d
+            cofactors.append(n // d)
+    yield from (c for c in reversed(cofactors) if c * c != n)
 
 
 def _first_missed_residue(s: IndexSet, N: int) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -289,6 +290,20 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert "coefficient_sum" in proc.stdout
+
+
+def test_closed_stdout_exits_one_without_a_message():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "discwalk", "counterexample", "--case", "iii", "--q", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_usage_error_exit_code():

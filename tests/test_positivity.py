@@ -1,6 +1,7 @@
 """Index sets, PD/SPD verdicts, Gram validation, counterexample fixtures."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -151,6 +152,15 @@ def test_verdict_mixed_sets_bounded():
     assert v.N <= 2 * (2 + 1)
     full = IndexSet.of(finite=[3], progressions=[(0, 2), (1, 4), (7, 4)])
     assert spd_verdict(full) == SpdVerdict.certified_exact("divisor closure")
+
+
+def test_verdict_scans_divisors_lazily_from_the_smallest():
+    # L = 10**13 has divisors up to 10**13; the progression misses a class at 2 already
+    start = time.perf_counter()
+    v = spd_verdict(IndexSet.of(finite=[0], progressions=[(0, 10**13)]))
+    elapsed = time.perf_counter() - start
+    assert v == SpdVerdict.refuted_at(2, 1)
+    assert elapsed < 0.05
 
 
 def test_verdict_refutations_are_sound():
