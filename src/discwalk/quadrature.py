@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import CapacityError, DiscWalkError, DomainError
 from .special import disc_norm_h, disc_norm_h_rows, disc_poly, ensure_in_disk, jacobi_R_all
@@ -59,6 +58,7 @@ def build_rule(alpha: float, radial_order: int, angular_order: int) -> DiskRule:
         raise DomainError(f"measure parameter must exceed -1, got alpha = {alpha}")
     if radial_order < 1 or angular_order < 1:
         raise DomainError("quadrature orders must be at least 1")
+    from scipy.special import roots_jacobi  # here, so that importing discwalk loads no scipy
     u, w = roots_jacobi(radial_order, alpha, 0.0)
     r = np.sqrt((1.0 + u) / 2.0)
     radial_w = (alpha + 1.0) * 2.0 ** (-alpha - 1.0) * w

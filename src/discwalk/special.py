@@ -121,7 +121,8 @@ def disc_poly(m: int, n: int, alpha: float, z):
     d = m - n
     t = np.clip(2.0 * np.abs(arr) ** 2 - 1.0, -1.0, 1.0)
     radial = jacobi_R_all(min(m, n), alpha, abs(d), t.ravel())[-1].reshape(arr.shape)
-    ang = arr**d if d >= 0 else np.conj(arr) ** (-d)
+    # on the raveled array, so that a scalar z takes the same ufunc path as an array element
+    ang = (arr.ravel() ** d if d >= 0 else np.conj(arr.ravel()) ** -d).reshape(arr.shape)
     out = ang * radial
     return complex(out.ravel()[0]) if scalar else out
 

@@ -158,43 +158,27 @@ def horn_h4_loop(a: float, b: float, c: float, d: float, x: complex, y: complex)
     raise AssertionError("reference H4 series did not converge")
 
 
-def lauricella_f14_loop(a1: float, b1: float, b2: float, c1: float, c2: float,
-                        x1: complex, x2: complex, x3: complex) -> complex:
-    """One-point, one-term-at-a-time F14 series with the library's stopping rule
-    (three quiet p-terms, n-rows and m-blocks, 1e-13 relative)."""
-    total = 0j
-    m_head = 1.0 + 0j
-    quiet_m = 0
-    for m in range(201):
-        if m > 0:
-            m_head *= (a1 + m - 1) * (b1 + m - 1) * x1 / ((c1 + m - 1) * m)
-        block_sum = 0j
-        block_max = 0.0
-        n_head = m_head
-        quiet_n = 0
-        for n in range(201):
-            if n > 0:
-                n_head *= (a1 + m + n - 1) * (b2 + n - 1) * x2 / ((c2 + n - 1) * n)
-            term = row_sum = n_head
-            row_max = abs(term)
-            quiet_p = 0
-            for p in range(1, 201):
-                term *= (a1 + m + n + p - 1) * (b1 + m + p - 1) * x3 / ((c2 + n + p - 1) * p)
-                row_sum += term
-                row_max = max(row_max, abs(term))
-                small = abs(term) <= 1e-13 * max(1.0, abs(total + block_sum + row_sum))
-                quiet_p = quiet_p + 1 if small else 0
-                if quiet_p >= 3:
+def lauricella_f14_oracle(c: float, b: float, x1: complex, x2: complex, x3: complex) -> complex:
+    """30-digit F14 series of the Lauricella kernel, sum_{n,p} (b)_n x2^n/n!
+    (c)_p x3^p/p! 2F1(n+p+1, c+p; c; x1), with the m-series summed by mpmath's
+    2F1 as defined (no Euler transformation); a term or row below 1e-25 of
+    the sum ends its series."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        x1, x2, x3, tiny = mp.mpc(x1), mp.mpc(x2), mp.mpc(x3), mp.mpf("1e-25")
+        total = mp.mpc(0)
+        for p in range(201):
+            row = mp.mpc(0)
+            for n in range(201):
+                term = (mp.rf(b, n) * x2**n / mp.factorial(n) * mp.rf(c, p) * x3**p / mp.factorial(p)
+                        * mp.hyp2f1(n + p + 1, c + p, c, x1))
+                row += term
+                if abs(term) <= tiny * max(1, abs(total + row)):
                     break
-            block_sum += row_sum
-            block_max = max(block_max, row_max)
-            quiet_n = quiet_n + 1 if row_max <= 1e-13 * max(1.0, abs(total + block_sum)) else 0
-            if quiet_n >= 3:
-                break
-        total += block_sum
-        quiet_m = quiet_m + 1 if block_max <= 1e-13 * max(1.0, abs(total)) else 0
-        if quiet_m >= 3:
-            return total
+            total += row
+            if abs(row) <= tiny * max(1, abs(total)):
+                return complex(total)
     raise AssertionError("reference F14 series did not converge")
 
 

@@ -292,6 +292,21 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert "coefficient_sum" in proc.stdout
 
 
+def test_walk_and_check_set_load_no_scipy(tmp_path):
+    # only a quadrature rule needs scipy; requests that build none never import it
+    table, walked = tmp_path / "t.json", tmp_path / "w.json"
+    CoefficientTable(alpha=1.0, entries={(1, 0): 1.0, (0, 1): 1.0, (2, 2): 0.5}).save(table)
+    code = (
+        "import sys\nfrom discwalk import cli\n"
+        f"assert cli.main(['walk', '--op', 'dz', '--in', {str(table)!r}, '--out', {str(walked)!r}]) == 0\n"
+        "assert cli.main(['check', '--set', '{\"finite\": [-1, 4]}']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_closed_stdout_exits_one_without_a_message():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader has gone before the first write

@@ -33,7 +33,7 @@ from discwalk import (
 from discwalk.families import _horn_h4, _lauricella_f14
 from helpers import (
     horn_h4_loop,
-    lauricella_f14_loop,
+    lauricella_f14_oracle,
     product_coefficient_closed,
     uniform_disk_points,
 )
@@ -88,7 +88,7 @@ def test_eval_special_points():
     # vanishing-parameter limits collapse the series to the constant term
     assert eval_family(Aktas(t=1e-9, q=3), 0.3 + 0.4j) == pytest.approx(1.0, abs=1e-6)
     assert _horn_h4(1.0, 2.0, 1.0, 1.0, 0j, 0j) == 1.0
-    assert _lauricella_f14(1.0, 1.0, 2.0, 1.0, 1.0, 0j, 0j, 0j) == 1.0
+    assert _lauricella_f14(1.0, 2.0, 0j, 0j, 0j) == 1.0
 
 
 def test_poisson_value_at_one_closed_form():
@@ -363,14 +363,14 @@ def _series_points() -> np.ndarray:
 
 
 def _series_args(spec, z):
-    """(array series, one-point loop, constant arguments, point arguments) as in eval_family."""
+    """(array series, one-point reference, constant arguments, point arguments) as in eval_family."""
     q, r2 = spec.q, np.abs(z) ** 2
     if isinstance(spec, Horn):
         xs = spec.s * (r2 - 1.0) / (1.0 - spec.s) ** 2
         ys = spec.t * np.conj(z) / (1.0 - spec.s)
         return _horn_h4, horn_h4_loop, (q - 1.0, float(spec.b), q - 1.0, q - 1.0), (xs, ys)
-    consts = (1.0, q - 1.0, float(spec.b), q - 1.0, 1.0)
-    return _lauricella_f14, lauricella_f14_loop, consts, (spec.s * (r2 - 1.0), spec.t * z, spec.s * r2)
+    consts = (q - 1.0, float(spec.b))
+    return _lauricella_f14, lauricella_f14_oracle, consts, (spec.s * (r2 - 1.0), spec.t * z, spec.s * r2)
 
 
 @pytest.mark.parametrize("spec", _SERIES_SPECS, ids=repr)
@@ -391,11 +391,11 @@ def test_series_array_matches_one_term_loop(spec):
 
 def test_series_scalar_arguments_give_a_complex():
     h = _horn_h4(2.0, 2.0, 2.0, 2.0, -0.05 + 0.01j, 0.1 - 0.02j)
-    f = _lauricella_f14(1.0, 2.0, 2.0, 2.0, 1.0, -0.05 + 0j, 0.1 + 0.1j, 0.05 + 0j)
+    f = _lauricella_f14(2.0, 2.0, -0.05 + 0j, 0.1 + 0.1j, 0.05 + 0j)
     assert type(h) is complex and type(f) is complex
     assert h == pytest.approx(horn_h4_loop(2.0, 2.0, 2.0, 2.0, -0.05 + 0.01j, 0.1 - 0.02j), rel=1e-14)
     assert f == pytest.approx(
-        lauricella_f14_loop(1.0, 2.0, 2.0, 2.0, 1.0, -0.05 + 0j, 0.1 + 0.1j, 0.05 + 0j), rel=1e-14
+        lauricella_f14_oracle(2.0, 2.0, -0.05 + 0j, 0.1 + 0.1j, 0.05 + 0j), rel=1e-14
     )
 
 
@@ -405,7 +405,53 @@ def test_series_array_with_one_diverging_point_raises():
     with pytest.raises(ConvergenceError):
         _horn_h4(1.0, 2.0, 1.0, 1.0, np.array([0.1, 0.3]), np.array([0.1, 0.9]))
     with pytest.raises(ConvergenceError):
-        _lauricella_f14(1.0, 1.0, 2.0, 1.0, 1.0, np.zeros(3), np.zeros(3), np.array([0.1, 2.0, 0.2]))
+        _lauricella_f14(1.0, 2.0, np.zeros(3), np.zeros(3), np.array([0.1, 2.0, 0.2]))
+
+
+def _plot_and_gram_points(q: int) -> list[np.ndarray]:
+    """The in-disk points of a grid-15 ``plot-data`` and the inner products of a 16-point ``gram``."""
+    axis = np.linspace(-1.0, 1.0, 15)
+    z = np.repeat(axis, 15) + 1j * np.tile(axis, 15)
+    pts = sample_sphere(q, 16, 7).points
+    return [z[np.abs(z) <= 1.0], pts @ pts.conj().T]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_lauricella_array_call_equals_point_calls_bit_for_bit(q):
+    spec = Lauricella(t=0.2, s=0.1, b=2, q=q)
+    for z in _plot_and_gram_points(q):
+        got = eval_family(spec, z)
+        want = np.array([eval_family(spec, complex(w)) for w in z.ravel()]).reshape(z.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_lauricella_matches_the_oracle_near_the_parameter_edge():
+    # t = 0.45 and s = 0.24 sit near r2 = 0.5 and r1 = 0.25, where the series decay slowest
+    spec = Lauricella(t=0.45, s=0.24, b=3, q=4)
+    z = uniform_disk_points(np.random.default_rng(11), 5)
+    got = eval_family(spec, z)
+    r2 = np.abs(z) ** 2
+    for w, x1, x2, x3 in zip(got, spec.s * (r2 - 1.0), spec.t * z, spec.s * r2):
+        assert abs(w - lauricella_f14_oracle(3.0, 3.0, x1, x2, x3)) <= 1e-14 * abs(w)
+
+
+def test_lauricella_complex_x1_keeps_the_bits_of_real_points():
+    # one complex x1 sends the whole call through complex arithmetic for Q
+    z = uniform_disk_points(np.random.default_rng(5), 300)  # more than one chunk
+    x1, x2, x3 = 0.1 * (np.abs(z) ** 2 - 1.0) + 0j, 0.2 * z, 0.1 * np.abs(z) ** 2
+    x1[7] += 0.05j
+    got = _lauricella_f14(2.0, 2.0, x1, x2, x3)
+    want = np.array([_lauricella_f14(2.0, 2.0, *pt) for pt in zip(x1, x2, x3)])
+    assert got.tobytes() == want.tobytes()
+    assert abs(got[7] - lauricella_f14_oracle(2.0, 2.0, x1[7], x2[7], x3[7])) <= 1e-14 * abs(got[7])
+
+
+def test_lauricella_needs_x1_inside_the_unit_disk():
+    from discwalk import ConvergenceError
+
+    for x1 in (-1.0, 1.0, 0.8j + 0.6, float("nan")):
+        with pytest.raises(ConvergenceError):
+            _lauricella_f14(2.0, 2.0, np.array([-0.1, x1]), 0.1, 0.05)
 
 
 # --------------------------------------------------------------------------

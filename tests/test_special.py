@@ -207,3 +207,11 @@ def test_vectorized_matches_scalar():
     vals = disc_poly(3, 1, 1.5, z)
     for i, w in enumerate(z):
         assert vals[i] == pytest.approx(disc_poly(3, 1, 1.5, complex(w)), abs=1e-15)
+
+
+def test_disc_poly_scalar_equals_array_element_bit_for_bit():
+    z = uniform_disk_points(np.random.default_rng(3), 200)
+    for m in range(6):
+        for n in range(6):
+            vals = disc_poly(m, n, 0.5, z)
+            assert all(disc_poly(m, n, 0.5, complex(w)) == v for w, v in zip(z, vals.tolist())), (m, n)
