@@ -16,13 +16,13 @@ expansions, used as ground-truth fixtures everywhere else:
                    (q-1)_n (b)_m t^m s^n/(m! n!) at key (m+n, n).
 
 Series evaluators sum with multiplicative term recurrences over the whole
-array of evaluation points at once, with at most 200 terms per index.  Each
-point stops on its own, so each value is the one a single-point call
-computes.  Horn's H4 double series stops a point after three consecutive
-row/term maxima below 1e-13 of its partial sum.  Lauricella's F14 triple
-series becomes a double series: its innermost sum is a Gauss 2F1 that Euler's
-transformation turns into a polynomial, and three terms below 1e-17 stop a
-point, within about 1e-15 relative of a 30-digit reference.
+array of evaluation points at once.  Each point stops on its own, so each
+value is the one a single-point call computes.  Horn's H4 double series stops
+a point after three consecutive row/term maxima below 1e-13 of its partial
+sum, with at most 200 terms per index.  Lauricella's F14 triple series becomes
+a double series: its innermost sum is a Gauss 2F1 that Euler's transformation
+turns into a polynomial, and three terms below 1e-17 stop a point, with at
+most 400 terms per index.
 Closed-form coefficient tables take their factorial and Pochhammer ratios in
 log space, so large tables underflow to zero instead of overflowing.  They
 are built from per-index arrays: each lgamma value and Exponential's inner
@@ -50,6 +50,7 @@ _SERIES_RTOL = 1e-13
 _SERIES_CAP = 200
 _SERIES_BLOWUP = 1e120
 _F14_RTOL = 1e-17  # under half an ulp of a Lauricella sum of modulus 1 or more
+_F14_CAP = 400  # the 1e-17 rule needs up to ~65 terms more than a 1e-13 rule ended by 200
 _F14_CHUNK = 256  # points per pass, to keep the (points x n) arrays small
 
 
@@ -327,7 +328,7 @@ def _f14_chunk(c: float, b: float, x1, u, v):
     # third quiet term and is zero beyond it
     term = np.ones(size, dtype=complex)
     cols, acc, quiet = [term], term, np.zeros(size, dtype=int)
-    for n in range(1, _SERIES_CAP + 1):
+    for n in range(1, _F14_CAP + 1):
         term = np.where(quiet < 3, term * ((b + n - 1) / n * u), 0.0)
         mag = np.abs(term)
         if np.any(mag > _SERIES_BLOWUP):
@@ -346,7 +347,7 @@ def _f14_chunk(c: float, b: float, x1, u, v):
     # sequential n-sums (accumulate): zeros past a row's end and other points keep each point's bits
     total = np.add.accumulate(rows, axis=1)[:, -1]
     head, quiet = np.ones(size, dtype=complex), np.zeros(size, dtype=int)  # head: (c)_p v^p / p!
-    for p in range(1, _SERIES_CAP + 1):
+    for p in range(1, _F14_CAP + 1):
         head = head * ((c + p - 1) / p * v)
         q_term = q = np.ones(rows.shape, dtype=x1.dtype)
         for i in range(1, p + 1):  # Q_{n,p}(x1) by its term recurrence in i
@@ -373,17 +374,18 @@ def _lauricella_f14(c: float, b: float, x1, x2, x3):
 
     The m-sum (c)_p 2F1(n+p+1, c+p; c; x1) is, by Euler's transformation (DLMF
     15.8.1), (1 - x1)^-(n+2p+1) times the degree-p polynomial
-    Q_{n,p}(x1) = 2F1(c-1-n-p, -p; c; x1), which needs |x1| < 1.  Arguments are
-    scalars or arrays (broadcast together), taken _F14_CHUNK points at a time;
-    each point stops on its own.  Scalar arguments give a complex.
+    Q_{n,p}(x1) = 2F1(c-1-n-p, -p; c; x1); x1 must be real with |x1| < 1.
+    Arguments are scalars or arrays (broadcast together), taken _F14_CHUNK
+    points at a time; each point stops on its own.  Scalar arguments give a complex.
     """
     (x1, x2, x3), shape = _flat_broadcast(x1, x2, x3)
+    if x1.imag.any():
+        raise DomainError("the F14 evaluator takes a real x1, as the kernel has")
+    x1 = x1.real
     if not np.all(np.abs(x1) < 1.0):
         raise ConvergenceError("the F14 m-series needs |x1| < 1")
     w = 1.0 - x1
     u, v = x2 / w, x3 / (w * w)
-    if not x1.imag.any():
-        x1 = x1.real  # Q in real arithmetic, with the same bits
     out = np.empty(x1.size, dtype=complex)
     for k in range(0, x1.size, _F14_CHUNK):
         part = slice(k, k + _F14_CHUNK)

@@ -162,20 +162,22 @@ def lauricella_f14_oracle(c: float, b: float, x1: complex, x2: complex, x3: comp
     """30-digit F14 series of the Lauricella kernel, sum_{n,p} (b)_n x2^n/n!
     (c)_p x3^p/p! 2F1(n+p+1, c+p; c; x1), with the m-series summed by mpmath's
     2F1 as defined (no Euler transformation); a term or row below 1e-25 of
-    the sum ends its series."""
+    the sum ends its series, and a series that runs past 600 terms fails."""
     import mpmath as mp
 
     with mp.workdps(30):
         x1, x2, x3, tiny = mp.mpc(x1), mp.mpc(x2), mp.mpc(x3), mp.mpf("1e-25")
         total = mp.mpc(0)
-        for p in range(201):
+        for p in range(601):
             row = mp.mpc(0)
-            for n in range(201):
+            for n in range(601):
                 term = (mp.rf(b, n) * x2**n / mp.factorial(n) * mp.rf(c, p) * x3**p / mp.factorial(p)
                         * mp.hyp2f1(n + p + 1, c + p, c, x1))
                 row += term
                 if abs(term) <= tiny * max(1, abs(total + row)):
                     break
+            else:
+                raise AssertionError("reference F14 n-series did not converge")
             total += row
             if abs(row) <= tiny * max(1, abs(total)):
                 return complex(total)

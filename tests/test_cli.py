@@ -194,6 +194,13 @@ def test_gram_pd_table_passes(tmp_path, capsys):
     assert float(lines[0].split()[1]) >= -1e-8
 
 
+def test_gram_lauricella_near_its_t_radius_passes(capsys):
+    # t = 0.83 puts |u| = 0.83 on the gram's diagonal (z = 1): the n-series runs past 200 terms
+    lauricella = ["--builtin", "lauricella", "--q", "2", "--param", "t=0.83", "--param", "s=0.05"]
+    rc, stdout, _ = run(capsys, "gram", *lauricella, "--param", "b=1", "--param", "r2=0.9", "--points", "16")
+    assert rc == 0 and stdout.strip().splitlines()[-1] == "PASS"
+
+
 def test_gram_constant_kernel_rank_one(tmp_path, capsys):
     path = tmp_path / "c.json"
     CoefficientTable(alpha=0.0, entries={(0, 0): 1.0}).save(path)

@@ -435,23 +435,29 @@ def test_lauricella_matches_the_oracle_near_the_parameter_edge():
         assert abs(w - lauricella_f14_oracle(3.0, 3.0, x1, x2, x3)) <= 1e-14 * abs(w)
 
 
-def test_lauricella_complex_x1_keeps_the_bits_of_real_points():
-    # one complex x1 sends the whole call through complex arithmetic for Q
-    z = uniform_disk_points(np.random.default_rng(5), 300)  # more than one chunk
-    x1, x2, x3 = 0.1 * (np.abs(z) ** 2 - 1.0) + 0j, 0.2 * z, 0.1 * np.abs(z) ** 2
-    x1[7] += 0.05j
-    got = _lauricella_f14(2.0, 2.0, x1, x2, x3)
-    want = np.array([_lauricella_f14(2.0, 2.0, *pt) for pt in zip(x1, x2, x3)])
-    assert got.tobytes() == want.tobytes()
-    assert abs(got[7] - lauricella_f14_oracle(2.0, 2.0, x1[7], x2[7], x3[7])) <= 1e-14 * abs(got[7])
+@pytest.mark.parametrize("t, b", [(0.83, 1), (0.8, 3)])
+def test_lauricella_near_its_t_radius_matches_the_oracle(t, b):
+    # |u| = t at |z| = 1 (x1 = 0), where the n-series decays slowest: it is quiet
+    # at 1e-17 only after more than 200 terms
+    spec = Lauricella(t=t, s=0.05, b=b, q=2, r2=0.9)
+    angles = np.linspace(0.0, 2.0 * np.pi, 130, endpoint=False)
+    z = np.concatenate([np.exp(1j * angles), 0.999 * np.exp(1j * (angles + 0.01))])  # more than one chunk
+    got = eval_family(spec, z)
+    assert got.tobytes() == np.array([eval_family(spec, complex(w)) for w in z]).tobytes()
+    r2 = np.abs(z) ** 2
+    for k in (0, 65, 259):
+        want = lauricella_f14_oracle(1.0, b, spec.s * (r2[k] - 1.0), spec.t * z[k], spec.s * r2[k])
+        assert abs(got[k] - want) <= 1e-14 * abs(want)
 
 
-def test_lauricella_needs_x1_inside_the_unit_disk():
+def test_lauricella_needs_a_real_x1_inside_the_unit_disk():
     from discwalk import ConvergenceError
 
-    for x1 in (-1.0, 1.0, 0.8j + 0.6, float("nan")):
+    for x1 in (-1.0, 1.0, float("nan")):
         with pytest.raises(ConvergenceError):
             _lauricella_f14(2.0, 2.0, np.array([-0.1, x1]), 0.1, 0.05)
+    with pytest.raises(DomainError):
+        _lauricella_f14(2.0, 2.0, np.array([-0.1, -0.1 + 0.05j]), 0.1, 0.05)
 
 
 # --------------------------------------------------------------------------
