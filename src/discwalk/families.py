@@ -15,14 +15,15 @@ expansions, used as ground-truth fixtures everywhere else:
 * ``lauricella``:  triple hypergeometric (F14-type) kernel, coefficients
                    (q-1)_n (b)_m t^m s^n/(m! n!) at key (m+n, n).
 
-Series evaluators sum with multiplicative term recurrences over the whole
-array of evaluation points at once.  Each point stops on its own, so each
-value is the one a single-point call computes.  Horn's H4 double series stops
-a point after three consecutive row/term maxima below 1e-13 of its partial
-sum, with at most 200 terms per index.  Lauricella's F14 triple series becomes
-a double series: its innermost sum is a Gauss 2F1 that Euler's transformation
-turns into a polynomial, and three terms below 1e-17 stop a point, with at
-most 400 terms per index.
+Series evaluators sum with term recurrences over the whole array of
+evaluation points at once.  Each point stops on its own, so each value is the
+one a single-point call computes bit for bit.  In both series the innermost
+sum is a Gauss 2F1 that Euler's transformation turns into a polynomial: Horn's
+H4 double series becomes a single series and Lauricella's F14 triple series a
+double series.  Both share one stopping rule: a series ends at a point after
+three consecutive terms below 1e-17 of its partial sum, with at most 400 terms
+per index, and a term above 1e120 is a divergence.  The tests check both
+against 30-digit mpmath sums of the series as defined.
 Closed-form coefficient tables take their factorial and Pochhammer ratios in
 log space, so large tables underflow to zero instead of overflowing.  They
 are built from per-index arrays: each lgamma value and Exponential's inner
@@ -46,11 +47,9 @@ from .quadrature import DiskRule, expand
 from .special import disc_norm_h, disc_norm_h_rows, ensure_in_disk, libm_each
 from .tables import CoefficientTable, read_index
 
-_SERIES_RTOL = 1e-13
-_SERIES_CAP = 200
+_SERIES_RTOL = 1e-17  # under half an ulp of a series sum of modulus 1 or more
+_SERIES_CAP = 400
 _SERIES_BLOWUP = 1e120
-_F14_RTOL = 1e-17  # under half an ulp of a Lauricella sum of modulus 1 or more
-_F14_CAP = 400  # the 1e-17 rule needs up to ~65 terms more than a 1e-13 rule ended by 200
 _F14_CHUNK = 256  # points per pass, to keep the (points x n) arrays small
 
 
@@ -226,57 +225,32 @@ def family_from_dict(doc: dict) -> FamilySpec:
 # closed-form evaluation
 
 
-_ROW_BLOCK = 16  # terms per vectorised step of an innermost series row
+def _sum_series(total, state, advance, what: str):
+    """Per-point sums total + term_1 + term_2 + ..., where ``advance(k, state)``
+    returns term_k and the next state, both over the points still running.
 
-
-def _sum_row(head, w, num, den, base, what: str):
-    """Innermost series rows for every point at once.
-
-    Point i sums term_0 = head[i], term_k = term_{k-1} * (num[k-1] w[i]) / den[k-1]
-    for k = 1.._SERIES_CAP, and stops after its own third consecutive term
-    with |term_k| <= _SERIES_RTOL * max(1, |base[i] + partial sum|).  Terms
-    come _ROW_BLOCK at a time through sequential ``accumulate`` calls, so each
-    point's partial sums are those of the one-term-at-a-time loop; terms past
-    a point's stop are discarded.  Returns (row sums, max |term| per row).
+    A point stops after its third consecutive term with |term| <= _SERIES_RTOL
+    max(1, |partial sum|); its entries then leave ``total`` and every state array.
     """
-    size = head.size
-    row_sum = np.empty(size, dtype=complex)
-    row_max = np.empty(size)
-    pos = np.arange(size)  # points whose row is still running
-    term, acc, peak = head, head, np.abs(head)
-    quiet = np.zeros(size, dtype=int)  # trailing quiet terms, 0..2
-    for k0 in range(0, _SERIES_CAP, _ROW_BLOCK):
-        k1 = min(k0 + _ROW_BLOCK, _SERIES_CAP)
-        # (num w) / den taken per component, as Python rounds float * complex / float
-        steps = np.empty((k1 - k0 + 1, pos.size), dtype=complex)
-        steps[0] = term
-        steps[1:].real = num[k0:k1, None] * w.real[pos] / den[k0:k1, None]
-        steps[1:].imag = num[k0:k1, None] * w.imag[pos] / den[k0:k1, None]
-        terms = np.multiply.accumulate(steps, axis=0)
-        steps[0] = acc
-        steps[1:] = terms[1:]
-        sums = np.add.accumulate(steps, axis=0)[1:]
-        terms = terms[1:]
-        mag = np.abs(terms)
-        flags = np.empty((k1 - k0 + 2, pos.size), dtype=bool)
-        flags[0] = quiet >= 2
-        flags[1] = quiet >= 1
-        flags[2:] = mag <= _SERIES_RTOL * np.maximum(1.0, np.abs(base[pos] + sums))
-        stop = flags[2:] & flags[1:-1] & flags[:-2]
-        done = stop.any(axis=0)
-        last = np.where(done, stop.argmax(axis=0), k1 - k0 - 1)
-        upto = np.arange(k1 - k0)[:, None] <= last
-        if np.any((mag > _SERIES_BLOWUP) & upto):
-            raise ConvergenceError("series terms diverge; parameters outside domain")
-        peak = np.maximum(peak, np.where(upto, mag, 0.0).max(axis=0))
-        cols = np.flatnonzero(done)
-        row_sum[pos[cols]] = sums[last[cols], cols]
-        row_max[pos[cols]] = peak[cols]
-        live = ~done
-        if not live.any():
-            return row_sum, row_max
-        pos, term, acc, peak = pos[live], terms[-1, live], sums[-1, live], peak[live]
-        quiet = np.where(flags[-1, live], np.where(flags[-2, live], 2, 1), 0)
+    out = np.empty(total.size, dtype=complex)
+    pos = np.arange(total.size)  # points whose series is still running
+    quiet = np.zeros(total.size, dtype=int)
+    for k in range(1, _SERIES_CAP + 1):
+        term, state = advance(k, state)
+        total = total + term
+        mag = np.abs(term)
+        if np.any(mag > _SERIES_BLOWUP):
+            raise ConvergenceError(f"{what} terms diverge; parameters outside domain")
+        quiet = np.where(mag <= _SERIES_RTOL * np.maximum(1.0, np.abs(total)), quiet + 1, 0)
+        done = quiet >= 3
+        if done.all():
+            out[pos] = total
+            return out
+        if done.any():
+            out[pos[done]] = total[done]
+            live = ~done
+            pos, total, quiet = pos[live], total[live], quiet[live]
+            state = [a[live] for a in state]
     raise ConvergenceError(f"{what} failed to converge within the term cap")
 
 
@@ -286,38 +260,33 @@ def _flat_broadcast(*args):
     return [a.ravel() for a in arrs], arrs[0].shape
 
 
-def _horn_h4(a: float, b: float, c: float, d: float, x, y):
-    """H4-type double series sum_{m,n} (a)_{2m+n} (b)_n / ((c)_m (d)_n) x^m y^n / (m! n!).
+def _horn_h4(a: float, b: float, x, y):
+    """H4-type double series sum_{m,n} (a)_{2m+n} (b)_n / ((a)_m (a)_n) x^m y^n / (m! n!),
+    summed as a single series in m.
 
-    ``x`` and ``y`` are scalars or arrays (broadcast together); each point
-    stops on its own after three quiet rows.  Scalar arguments give a complex.
+    Row m is (a)_{2m}/((a)_m m!) x^m 2F1(a+2m, b; a; y), which is, by Euler's
+    transformation (DLMF 15.8.1), (1 - y)^-(2m+b) times the polynomial
+    P_{2m}(y), P_n = 2F1(-n, a-b; a; y); P advances by the contiguous relation
+    (DLMF 15.5.11) (a+n) P_{n+1} = (2n + a - (a-b+n) y) P_n - n (1-y) P_{n-1}.
+    |y| must be below 1.  ``x`` and ``y`` are scalars or arrays (broadcast
+    together); each point stops on its own.  Scalar arguments give a complex.
     """
     (x, y), shape = _flat_broadcast(x, y)
-    out = np.empty(x.size, dtype=complex)
-    idx = np.arange(x.size)  # points whose outer series is still running
-    total = np.zeros(x.size, dtype=complex)
-    row_head = np.ones(x.size, dtype=complex)  # term at (m, 0)
-    quiet_rows = np.zeros(x.size, dtype=int)
-    k = np.arange(1.0, _SERIES_CAP + 1)
-    for m in range(_SERIES_CAP + 1):
-        if m > 0:
-            row_head = row_head * ((a + 2 * m - 2) * (a + 2 * m - 1) * x / ((c + m - 1) * m))
-        row_sum, row_max = _sum_row(
-            row_head, y, (a + 2 * m + k - 1) * (b + k - 1), (d + k - 1) * k, total, "inner series"
-        )
-        total = total + row_sum
-        if np.any(row_max > _SERIES_BLOWUP):
-            raise ConvergenceError("series rows diverge; parameters outside domain")
-        quiet_rows = np.where(row_max <= _SERIES_RTOL * np.maximum(1.0, np.abs(total)), quiet_rows + 1, 0)
-        done = quiet_rows >= 3
-        out[idx[done]] = total[done]
-        live = ~done
-        if not live.any():
-            return complex(out[0]) if shape == () else out.reshape(shape)
-        idx, x, y, total, row_head, quiet_rows = (
-            v[live] for v in (idx, x, y, total, row_head, quiet_rows)
-        )
-    raise ConvergenceError("outer series failed to converge within the term cap")
+    if not np.all(np.abs(y) < 1.0):
+        raise ConvergenceError("the H4 n-series needs |y| < 1")
+    w = 1.0 - y
+
+    def advance(m, state):
+        # head: (a)_{2m}/((a)_m m!) u^m with u = x/(1-y)^2; p_prev, p: P_{2m-1}, P_{2m}
+        u, y, w, head, p_prev, p = state
+        head = head * ((a + 2 * m - 2) * (a + 2 * m - 1) / ((a + m - 1) * m) * u)
+        for n in (2 * m - 2, 2 * m - 1):
+            p_prev, p = p, ((2 * n + a - (a - b + n) * y) * p - n * w * p_prev) / (a + n)
+        return head * p, [u, y, w, head, p_prev, p]
+
+    ones = np.ones(x.size, dtype=complex)
+    out = _sum_series(ones, [x / (w * w), y, w, ones, ones, ones], advance, "H4 series") / w**b
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 def _f14_chunk(c: float, b: float, x1, u, v):
@@ -328,13 +297,13 @@ def _f14_chunk(c: float, b: float, x1, u, v):
     # third quiet term and is zero beyond it
     term = np.ones(size, dtype=complex)
     cols, acc, quiet = [term], term, np.zeros(size, dtype=int)
-    for n in range(1, _F14_CAP + 1):
+    for n in range(1, _SERIES_CAP + 1):
         term = np.where(quiet < 3, term * ((b + n - 1) / n * u), 0.0)
         mag = np.abs(term)
         if np.any(mag > _SERIES_BLOWUP):
             raise ConvergenceError("n-series terms diverge; parameters outside domain")
         acc = acc + term
-        quiet = np.where(mag <= _F14_RTOL * np.maximum(1.0, np.abs(acc)), quiet + 1, 0)
+        quiet = np.where(mag <= _SERIES_RTOL * np.maximum(1.0, np.abs(acc)), quiet + 1, 0)
         cols.append(term)
         if np.all(quiet >= 3):
             break
@@ -342,30 +311,19 @@ def _f14_chunk(c: float, b: float, x1, u, v):
         raise ConvergenceError("n-series failed to converge within the term cap")
     rows = np.stack(cols, axis=1)
     ns = np.arange(rows.shape[1])
-    out = np.empty(size, dtype=complex)
-    pos = np.arange(size)  # points whose p-series is still running
-    # sequential n-sums (accumulate): zeros past a row's end and other points keep each point's bits
-    total = np.add.accumulate(rows, axis=1)[:, -1]
-    head, quiet = np.ones(size, dtype=complex), np.zeros(size, dtype=int)  # head: (c)_p v^p / p!
-    for p in range(1, _F14_CAP + 1):
+
+    def advance(p, state):
+        x1, v, rows, head = state  # head: (c)_p v^p / p!
         head = head * ((c + p - 1) / p * v)
         q_term = q = np.ones(rows.shape, dtype=x1.dtype)
         for i in range(1, p + 1):  # Q_{n,p}(x1) by its term recurrence in i
             q_term = q_term * ((c - 2 - ns - p + i) * (i - 1 - p) / ((c + i - 1) * i) * x1[:, None])
             q = q + q_term
-        step = head * np.add.accumulate(rows * q, axis=1)[:, -1]
-        total = total + step
-        mag = np.abs(step)
-        if np.any(mag > _SERIES_BLOWUP):
-            raise ConvergenceError("p-series terms diverge; parameters outside domain")
-        quiet = np.where(mag <= _F14_RTOL * np.maximum(1.0, np.abs(total)), quiet + 1, 0)
-        done = quiet >= 3
-        out[pos[done]] = total[done]
-        live = ~done
-        if not live.any():
-            return out
-        pos, x1, v, rows, total, head, quiet = (a[live] for a in (pos, x1, v, rows, total, head, quiet))
-    raise ConvergenceError("p-series failed to converge within the term cap")
+        return head * np.add.accumulate(rows * q, axis=1)[:, -1], [x1, v, rows, head]
+
+    # sequential n-sums (accumulate): zeros past a row's end and other points keep each point's bits
+    total = np.add.accumulate(rows, axis=1)[:, -1]
+    return _sum_series(total, [x1, v, rows, np.ones(size, dtype=complex)], advance, "p-series")
 
 
 def _lauricella_f14(c: float, b: float, x1, x2, x3):
@@ -415,8 +373,11 @@ def eval_family(spec: FamilySpec, z):
         out = (1.0 / big) * (2.0 / (1.0 - t + big)) ** (q - 2) * np.exp(2.0 * t * arr / (1.0 + t + big))
     elif isinstance(spec, Horn):
         xs = spec.s * (np.abs(arr) ** 2 - 1.0) / (1.0 - spec.s) ** 2
-        ys = spec.t * np.conj(arr) / (1.0 - spec.s)
-        out = _horn_h4(q - 1.0, float(spec.b), q - 1.0, q - 1.0, xs, ys) / (1.0 - spec.s) ** (q - 1)
+        # t/(1-s) first: numpy divides a complex array by a real through the
+        # reciprocal, an extra rounding that 1 - y magnifies near |y| = 1
+        ys = spec.t / (1.0 - spec.s) * np.conj(arr)
+        # a numpy product also for a scalar z, so that it rounds as a point of an array does
+        out = np.multiply(_horn_h4(q - 1.0, float(spec.b), xs, ys), (1.0 - spec.s) ** (1 - q))
     elif isinstance(spec, Lauricella):
         x1 = spec.s * (np.abs(arr) ** 2 - 1.0)
         x2 = spec.t * arr

@@ -132,29 +132,21 @@ def table_max_diff(a: CoefficientTable, b: CoefficientTable) -> float:
     return max((abs(a.get(*k) - b.get(*k)) for k in keys), default=0.0)
 
 
-def horn_h4_loop(a: float, b: float, c: float, d: float, x: complex, y: complex) -> complex:
-    """One-point, one-term-at-a-time H4 series with the library's stopping rule
-    (three quiet terms per row, three quiet rows, 1e-13 relative)."""
-    total = 0j
-    row_head = 1.0 + 0j
-    quiet_rows = 0
-    for m in range(201):
-        if m > 0:
-            row_head *= (a + 2 * m - 2) * (a + 2 * m - 1) * x / ((c + m - 1) * m)
-        term = row_sum = row_head
-        row_max = abs(term)
-        quiet = 0
-        for n in range(1, 201):
-            term *= (a + 2 * m + n - 1) * (b + n - 1) * y / ((d + n - 1) * n)
-            row_sum += term
-            row_max = max(row_max, abs(term))
-            quiet = quiet + 1 if abs(term) <= 1e-13 * max(1.0, abs(total + row_sum)) else 0
-            if quiet >= 3:
-                break
-        total += row_sum
-        quiet_rows = quiet_rows + 1 if row_max <= 1e-13 * max(1.0, abs(total)) else 0
-        if quiet_rows >= 3:
-            return total
+def horn_h4_oracle(a: float, b: float, x: complex, y: complex) -> complex:
+    """30-digit H4 series of the Horn kernel, sum_m (a)_{2m}/((a)_m m!) x^m
+    2F1(a+2m, b; a; y), with each row summed by mpmath's 2F1 as defined (no
+    Euler transformation); a row below 1e-25 of the sum ends the series, and a
+    series that runs past 2000 rows fails."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        x, y, tiny = mp.mpc(x), mp.mpc(y), mp.mpf("1e-25")
+        total = mp.mpc(0)
+        for m in range(2001):
+            row = mp.rf(a, 2 * m) / (mp.rf(a, m) * mp.factorial(m)) * x**m * mp.hyp2f1(a + 2 * m, b, a, y)
+            total += row
+            if abs(row) <= tiny * max(1, abs(total)):
+                return complex(total)
     raise AssertionError("reference H4 series did not converge")
 
 

@@ -32,7 +32,7 @@ from discwalk import (
 )
 from discwalk.families import _horn_h4, _lauricella_f14
 from helpers import (
-    horn_h4_loop,
+    horn_h4_oracle,
     lauricella_f14_oracle,
     product_coefficient_closed,
     uniform_disk_points,
@@ -87,7 +87,7 @@ def test_eval_special_points():
             assert eval_family(spec, z) == pytest.approx(1.0 / sigma_2q(q), rel=1e-15)
     # vanishing-parameter limits collapse the series to the constant term
     assert eval_family(Aktas(t=1e-9, q=3), 0.3 + 0.4j) == pytest.approx(1.0, abs=1e-6)
-    assert _horn_h4(1.0, 2.0, 1.0, 1.0, 0j, 0j) == 1.0
+    assert _horn_h4(1.0, 2.0, 0j, 0j) == 1.0
     assert _lauricella_f14(1.0, 2.0, 0j, 0j, 0j) == 1.0
 
 
@@ -229,14 +229,14 @@ def test_horn_series_against_mpmath_hyper2d():
 
     mp.mp.dps = 25
     cases = [
-        (1.0, 2.0, 1.0, 1.0, 0.08 + 0.02j, -0.1 + 0.15j),
-        (2.0, 3.0, 2.0, 2.0, -0.05 + 0j, 0.2j),
-        (1.5, 2.5, 1.5, 1.5, 0.02 - 0.03j, 0.1 + 0.1j),
+        (1.0, 2.0, 0.08 + 0.02j, -0.1 + 0.15j),
+        (2.0, 3.0, -0.05 + 0j, 0.2j),
+        (1.5, 2.5, 0.02 - 0.03j, 0.1 + 0.1j),
     ]
-    for a, b, c, d, x, y in cases:
-        mine = _horn_h4(a, b, c, d, x, y)
-        ref = complex(mp.hyper2d({"2m+n": [a], "n": [b]}, {"m": [c], "n": [d]}, x, y))
-        assert mine == pytest.approx(ref, abs=1e-12)
+    for a, b, x, y in cases:
+        mine = _horn_h4(a, b, x, y)
+        ref = complex(mp.hyper2d({"2m+n": [a], "n": [b]}, {"m": [a], "n": [a]}, x, y))
+        assert mine == pytest.approx(ref, rel=1e-14)
 
 
 def test_series_evaluators_fail_fast_outside_envelope():
@@ -245,7 +245,7 @@ def test_series_evaluators_fail_fast_outside_envelope():
     from discwalk import ConvergenceError
 
     with pytest.raises(ConvergenceError):
-        _horn_h4(1.0, 2.0, 1.0, 1.0, 0.3 + 0j, 0.9 + 0j)
+        _horn_h4(1.0, 2.0, 0.3 + 0j, 0.9 + 0j)
 
 
 def test_poisson_profile_closed_anchors():
@@ -363,12 +363,12 @@ def _series_points() -> np.ndarray:
 
 
 def _series_args(spec, z):
-    """(array series, one-point reference, constant arguments, point arguments) as in eval_family."""
+    """(array series, one-point oracle, constant arguments, point arguments) as in eval_family."""
     q, r2 = spec.q, np.abs(z) ** 2
     if isinstance(spec, Horn):
         xs = spec.s * (r2 - 1.0) / (1.0 - spec.s) ** 2
-        ys = spec.t * np.conj(z) / (1.0 - spec.s)
-        return _horn_h4, horn_h4_loop, (q - 1.0, float(spec.b), q - 1.0, q - 1.0), (xs, ys)
+        ys = spec.t / (1.0 - spec.s) * np.conj(z)
+        return _horn_h4, horn_h4_oracle, (q - 1.0, float(spec.b)), (xs, ys)
     consts = (q - 1.0, float(spec.b))
     return _lauricella_f14, lauricella_f14_oracle, consts, (spec.s * (r2 - 1.0), spec.t * z, spec.s * r2)
 
@@ -390,10 +390,10 @@ def test_series_array_matches_one_term_loop(spec):
 
 
 def test_series_scalar_arguments_give_a_complex():
-    h = _horn_h4(2.0, 2.0, 2.0, 2.0, -0.05 + 0.01j, 0.1 - 0.02j)
+    h = _horn_h4(2.0, 2.0, -0.05 + 0.01j, 0.1 - 0.02j)
     f = _lauricella_f14(2.0, 2.0, -0.05 + 0j, 0.1 + 0.1j, 0.05 + 0j)
     assert type(h) is complex and type(f) is complex
-    assert h == pytest.approx(horn_h4_loop(2.0, 2.0, 2.0, 2.0, -0.05 + 0.01j, 0.1 - 0.02j), rel=1e-14)
+    assert h == pytest.approx(horn_h4_oracle(2.0, 2.0, -0.05 + 0.01j, 0.1 - 0.02j), rel=1e-14)
     assert f == pytest.approx(
         lauricella_f14_oracle(2.0, 2.0, -0.05 + 0j, 0.1 + 0.1j, 0.05 + 0j), rel=1e-14
     )
@@ -403,7 +403,7 @@ def test_series_array_with_one_diverging_point_raises():
     from discwalk import ConvergenceError
 
     with pytest.raises(ConvergenceError):
-        _horn_h4(1.0, 2.0, 1.0, 1.0, np.array([0.1, 0.3]), np.array([0.1, 0.9]))
+        _horn_h4(1.0, 2.0, np.array([0.1, 0.3]), np.array([0.1, 0.9]))
     with pytest.raises(ConvergenceError):
         _lauricella_f14(1.0, 2.0, np.zeros(3), np.zeros(3), np.array([0.1, 2.0, 0.2]))
 
@@ -414,6 +414,39 @@ def _plot_and_gram_points(q: int) -> list[np.ndarray]:
     z = np.repeat(axis, 15) + 1j * np.tile(axis, 15)
     pts = sample_sphere(q, 16, 7).points
     return [z[np.abs(z) <= 1.0], pts @ pts.conj().T]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_horn_array_call_equals_point_calls_bit_for_bit(q):
+    spec = Horn(t=0.1, s=0.1, b=2, q=q)
+    for z in _plot_and_gram_points(q):
+        got = eval_family(spec, z)
+        want = np.array([eval_family(spec, complex(w)) for w in z.ravel()]).reshape(z.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("z", [0j, 0.5 + 0j, 1 + 0j, -1 + 0j, 1j])
+def test_horn_near_its_convergence_edge_matches_the_oracle_or_raises(z):
+    # 2 sqrt|x| + |y| is 0.91 at z = 0 and 0.97 at z = 0.5, where the rows decay slowest
+    from discwalk import ConvergenceError
+
+    spec = Horn(t=0.3, s=0.15, b=3, q=2)
+    try:
+        got = eval_family(spec, z)
+    except ConvergenceError:
+        return
+    x = spec.s * (abs(z) ** 2 - 1.0) / (1.0 - spec.s) ** 2
+    want = horn_h4_oracle(1.0, 3.0, x, spec.t * z.conjugate() / (1.0 - spec.s)) / (1.0 - spec.s)
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_horn_needs_y_inside_the_unit_disk():
+    from discwalk import ConvergenceError
+
+    with np.errstate(all="raise"):  # no division by 1 - y = 0 before the refusal
+        for y in (1.0, -1.0, 1j, 1.5, float("nan")):
+            with pytest.raises(ConvergenceError):
+                _horn_h4(1.0, 2.0, np.array([-0.01, -0.01]), np.array([0.1, y]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
