@@ -1,150 +1,42 @@
 """Disc-polynomial expansions, dimension walks and positive definiteness of
-isotropic kernels on complex unit spheres."""
+isotropic kernels on complex unit spheres.
 
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    DiscWalkError,
-    DomainError,
-    NotPositiveDefiniteError,
-)
-from .families import (
-    Aktas,
-    Exponential,
-    FamilySpec,
-    Horn,
-    Lauricella,
-    PoissonSzego,
-    ProductKernel,
-    difference_pattern,
-    eval_family,
-    family_alpha,
-    family_coefficients,
-    family_from_dict,
-    family_to_dict,
-    make_family,
-    poisson_szego_profile,
-    sigma_2q,
-)
-from .positivity import (
-    COUNTEREXAMPLE_EXPECTED,
-    IndexSet,
-    PdReport,
-    Progression,
-    SpdVerdict,
-    SpherePointSet,
-    counterexample_sets,
-    counterexample_table,
-    difference_set,
-    gram_matrix,
-    hermitian_eigenvalues,
-    intersects_progression,
-    is_pd,
-    is_spd,
-    min_eigenvalue,
-    sample_sphere,
-    spd_verdict,
-)
-from .quadrature import (
-    DiskRule,
-    build_rule,
-    coefficient_sum,
-    default_rule,
-    expand,
-    extract_coefficient,
-    integrate,
-    synthesize,
-)
-from .special import (
-    BOUNDARY_EPS,
-    c_factor,
-    disc_norm_h,
-    disc_poly,
-    disc_poly_at_zero,
-    disc_poly_dz,
-    disc_poly_dzbar,
-    jacobi_R,
-    jacobi_R_all,
-    pochhammer,
-)
-from .tables import CoefficientTable
-from .walks import (
-    MonteeResult,
-    descente_x,
-    descente_z,
-    descente_zbar,
-    montee_z,
-    montee_zbar,
-    wirtinger_dz,
-    wirtinger_dzbar,
-)
+Each public name is imported from its submodule the first time it is used
+(PEP 562), so ``import discwalk`` by itself loads no submodule and no numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Aktas",
-    "BOUNDARY_EPS",
-    "COUNTEREXAMPLE_EXPECTED",
-    "CapacityError",
-    "CoefficientTable",
-    "ConvergenceError",
-    "DiscWalkError",
-    "DiskRule",
-    "DomainError",
-    "Exponential",
-    "FamilySpec",
-    "Horn",
-    "IndexSet",
-    "Lauricella",
-    "MonteeResult",
-    "NotPositiveDefiniteError",
-    "PdReport",
-    "PoissonSzego",
-    "ProductKernel",
-    "Progression",
-    "SpdVerdict",
-    "SpherePointSet",
-    "build_rule",
-    "c_factor",
-    "coefficient_sum",
-    "counterexample_sets",
-    "counterexample_table",
-    "default_rule",
-    "descente_x",
-    "descente_z",
-    "descente_zbar",
-    "difference_pattern",
-    "difference_set",
-    "disc_norm_h",
-    "disc_poly",
-    "disc_poly_at_zero",
-    "disc_poly_dz",
-    "disc_poly_dzbar",
-    "eval_family",
-    "expand",
-    "extract_coefficient",
-    "family_alpha",
-    "family_coefficients",
-    "family_from_dict",
-    "family_to_dict",
-    "gram_matrix",
-    "hermitian_eigenvalues",
-    "integrate",
-    "intersects_progression",
-    "is_pd",
-    "is_spd",
-    "jacobi_R",
-    "jacobi_R_all",
-    "make_family",
-    "min_eigenvalue",
-    "montee_z",
-    "montee_zbar",
-    "pochhammer",
-    "poisson_szego_profile",
-    "sample_sphere",
-    "sigma_2q",
-    "spd_verdict",
-    "synthesize",
-    "wirtinger_dz",
-    "wirtinger_dzbar",
-]
+#: submodule -> the public names the package re-exports from it
+_EXPORTS = {
+    "errors": "CapacityError ConvergenceError DiscWalkError DomainError NotPositiveDefiniteError",
+    "families": "Aktas Exponential FamilySpec Horn Lauricella PoissonSzego ProductKernel"
+    " difference_pattern eval_family family_alpha family_coefficients family_from_dict"
+    " family_to_dict make_family poisson_szego_profile sigma_2q",
+    "positivity": "COUNTEREXAMPLE_EXPECTED IndexSet PdReport Progression SpdVerdict SpherePointSet"
+    " counterexample_sets counterexample_table difference_set gram_matrix hermitian_eigenvalues"
+    " intersects_progression is_pd is_spd min_eigenvalue sample_sphere spd_verdict",
+    "quadrature": "DiskRule build_rule coefficient_sum default_rule expand extract_coefficient"
+    " integrate synthesize",
+    "special": "BOUNDARY_EPS c_factor disc_norm_h disc_poly disc_poly_at_zero disc_poly_dz"
+    " disc_poly_dzbar jacobi_R jacobi_R_all pochhammer",
+    "tables": "CoefficientTable",
+    "walks": "MonteeResult descente_x descente_z descente_zbar montee_z montee_zbar wirtinger_dz"
+    " wirtinger_dzbar",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
+    value = globals()[name] = getattr(module, name)  # a plain global: later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,9 +9,10 @@ gram            empirical Gram-matrix eigenvalue check on sampled sphere points
 counterexample  reproduce the walk counterexamples and compare verdicts
 plot-data       CSV samples of a kernel on a Cartesian grid over [-1, 1]^2
 
-Exit codes: 0 success, 2 usage/domain error, 3 quadrature capacity error,
-4 counterexample verdict mismatch, 1 when stdout is closed before the output
-is written, with no message.  Verdicts themselves are data and exit 0.
+Exit codes: 0 success, 2 usage/domain error, 3 capacity error (quadrature
+rule or residue table budget), 4 counterexample verdict mismatch, 1 when
+stdout is closed before the output is written, with no message.  Verdicts
+themselves are data and exit 0.
 All outputs are deterministic given flags and seed.
 """
 

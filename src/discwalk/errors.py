@@ -12,7 +12,9 @@ class DomainError(DiscWalkError, ValueError):
 
 
 class CapacityError(DiscWalkError, ValueError):
-    """A quadrature rule cannot integrate the requested degrees exactly."""
+    """A request exceeds a stated capacity: a quadrature rule cannot integrate
+    the requested degrees exactly, or an SPD decision needs a residue table
+    larger than its budget."""
 
 
 class ConvergenceError(DiscWalkError, RuntimeError):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError
+from .errors import CapacityError, ConvergenceError, DomainError, NotPositiveDefiniteError
 from .quadrature import _values_on
 from .tables import CoefficientTable, read_index
 
@@ -188,11 +188,14 @@ class SpdVerdict:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SpdVerdict":
-        kind = doc.get("kind")
-        if kind == "refuted_at":
-            return cls.refuted_at(int(doc["N"]), int(doc["j"]))
-        if kind == "certified_exact":
-            return cls.certified_exact(str(doc["reason"]))
+        try:
+            kind = doc.get("kind")
+            if kind == "refuted_at":
+                return cls.refuted_at(read_index(doc["N"]), read_index(doc["j"]))
+            if kind == "certified_exact":
+                return cls.certified_exact(str(doc["reason"]))
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"malformed verdict document: {exc}") from exc
         raise DomainError(f"unknown verdict kind {kind!r}")
 
 
@@ -205,13 +208,20 @@ def _divisors(n: int):
     yield from (c for c in reversed(cofactors) if c * c != n)
 
 
+#: largest modulus N whose one-byte-per-class residue table is allocated
+_RESIDUE_BUDGET = 2**27
+
+
 def _first_missed_residue(s: IndexSet, N: int) -> int:
     """Smallest j in [0, N) with S intersect (N Z + j) empty, or -1 if S meets every class.
 
     The residues S covers mod N are its finite elements mod N plus, for each
     progression, the class offset mod gcd(|step|, N) (the same rule as
-    ``intersects_progression``).
+    ``intersects_progression``).  A modulus over ``_RESIDUE_BUDGET`` raises
+    ``CapacityError``.
     """
+    if N > _RESIDUE_BUDGET:
+        raise CapacityError(f"modulus {N} exceeds the residue table budget of {_RESIDUE_BUDGET}")
     covered = bytearray(N)
     for e in s.finite:
         covered[e % N] = 1

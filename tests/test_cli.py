@@ -314,6 +314,69 @@ def test_walk_and_check_set_load_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def _fresh_python(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_discwalk_loads_no_submodule_and_no_numpy():
+    out = _fresh_python(
+        "import sys\nimport discwalk\n"
+        "print(sorted(n for n in sys.modules if n.startswith('discwalk.')"
+        " or n.partition('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_star_import_binds_exactly_all():
+    out = _fresh_python(
+        "import discwalk\nns = {}\nexec('from discwalk import *', ns)\n"
+        "print(sorted(set(ns) - {'__builtins__'}) == sorted(discwalk.__all__), len(discwalk.__all__))\n"
+    )
+    assert out.splitlines()[-1] == "True 65"
+
+
+def test_each_export_is_its_submodule_object():
+    # resolved lazily on first use, then bound in the package like a plain global
+    out = _fresh_python(
+        "import importlib\nimport discwalk\n"
+        "for module, names in discwalk._EXPORTS.items():\n"
+        "    sub = importlib.import_module('discwalk.' + module)\n"
+        "    for n in names.split():\n"
+        "        assert n not in vars(discwalk), n\n"
+        "        assert getattr(discwalk, n) is getattr(sub, n), n\n"
+        "        assert vars(discwalk)[n] is getattr(sub, n), n\n"
+        "        assert n in dir(discwalk), n\n"
+        "print('ok')\n"
+    )
+    assert out.splitlines()[-1] == "ok"
+
+
+def test_unknown_package_attribute_names_itself():
+    import discwalk
+
+    with pytest.raises(AttributeError, match="'nope'"):
+        discwalk.nope  # noqa: B018
+
+
+def test_from_discwalk_import_cli_in_a_fresh_process():
+    out = _fresh_python("from discwalk import cli\nprint(cli.__name__, callable(cli.main))\n")
+    assert out.splitlines()[-1] == "discwalk.cli True"
+
+
+@pytest.mark.parametrize("progressions", [
+    [(0, 10**13 + 37)],
+    [(0, 2), (1, 2), (0, 10**13 + 37)],
+])
+def test_check_set_past_the_residue_budget_exits_3_with_one_line(progressions, capsys):
+    doc = json.dumps({"progressions": [{"offset": o, "step": s} for o, s in progressions]})
+    rc, out, err = run(capsys, "check", "--set", doc)
+    assert rc == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(10**13 + 37) in err
+
+
 def test_closed_stdout_exits_one_without_a_message():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader has gone before the first write

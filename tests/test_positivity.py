@@ -187,6 +187,22 @@ def test_verdict_json_round_trip():
         SpdVerdict.from_dict({"kind": "certified_up_to", "n_max": 64})
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "refuted_at"},
+    {"kind": "refuted_at", "N": 5},
+    {"kind": "certified_exact"},
+    [{"kind": "refuted_at", "N": 5, "j": 0}],
+    None,
+    {"kind": "refuted_at", "N": 2.5, "j": 0},
+    {"kind": "refuted_at", "N": 5, "j": True},
+    {"kind": "refuted_at", "N": "x", "j": 0},
+    {"kind": "refuted_at", "N": float("inf"), "j": 0},
+])
+def test_malformed_verdict_document_is_a_domain_error(doc):
+    with pytest.raises(DomainError, match="malformed verdict document"):
+        SpdVerdict.from_dict(doc)
+
+
 def _first_missed_class_by_enumeration(s: IndexSet):
     """(N, j) of the first class N Z + j that S misses, N = 1 .. L (|F| + 1) with
     L the lcm of the steps, from the elements of S reduced mod N; None if none."""
