@@ -133,12 +133,12 @@ def _function_from_args(args, need_q: bool = True) -> tuple:
 def _cmd_expand(args) -> int:
     spec = _resolve_family(args)
     alpha = family_alpha(spec)
-    if args.radial_order or args.angular_order:
+    if args.radial_order is not None or args.angular_order is not None:
         deg = args.mmax + args.nmax
         rule = build_rule(
             alpha,
-            args.radial_order or deg + 8,
-            args.angular_order or 2 * deg + 8,
+            deg + 8 if args.radial_order is None else args.radial_order,
+            2 * deg + 8 if args.angular_order is None else args.angular_order,
         )
     else:
         rule = default_rule(alpha, args.mmax, args.nmax)

@@ -137,7 +137,8 @@ def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None
     index, but exploits the tensor structure of the rule: one angular Fourier
     sum per frequency d = m - n, then, per frequency, one radial Gauss
     reduction for all its entries against Jacobi rows computed for every
-    |d| in a single recurrence.
+    |d| in a single recurrence, each |d| only up to the degree it reads, and
+    scaled by r^|d| and the radial weights once.
 
     The capacity check guarantees exactness for polynomial f up to the table
     degrees; for non-polynomial f the rule must also resolve f's own spectrum
@@ -153,22 +154,28 @@ def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None
     _check_capacity(rule, m_max, n_max)
 
     vals = _values_on(f, rule.grid())                      # (R, K)
-    theta = rule.angular_nodes
-    ds = np.arange(-n_max, m_max + 1)
-    phases = np.exp(-1j * np.outer(ds, theta)) / rule.angular_order
+    # phases for d >= 0; the row of -d is the conjugate of the row of d
+    high, kmax = max(m_max, n_max), min(m_max, n_max)
+    pos = np.exp(-1j * np.outer(np.arange(high + 1), rule.angular_nodes)) / rule.angular_order
+    phases = np.concatenate([pos[n_max:0:-1].conj(), pos[: m_max + 1]])  # rows d = -n_max..m_max
     fourier = vals @ phases.T                              # (R, n_d): sum_k f e^{-i d theta} / K
 
+    # frequency d reads rows k < k_d only, so |d| needs degrees up to
+    # min(high - |d|, kmax)
     t = np.clip(2.0 * rule.radial_nodes**2 - 1.0, -1.0, 1.0)
-    jac = jacobi_R_all(min(m_max, n_max), alpha, np.arange(max(m_max, n_max) + 1), t)  # (k, |d|, R)
+    betas = np.arange(high + 1)
+    jac = jacobi_R_all(kmax, alpha, betas, t, np.minimum(high - betas, kmax))  # (k, |d|, R)
+    # r^b with a scalar exponent per b: numpy rounds some powers differently
+    # when the exponent is an array
+    jac *= np.array([rule.radial_nodes**b for b in range(high + 1)])
+    jac *= rule.radial_weights
 
     # radial Gauss sums: one reduction per frequency d over its k = min(m, n);
     # acc[d + n_max, k] holds the sum for every (m, n) with m - n = d
-    rw = rule.radial_weights
-    acc = np.zeros((m_max + n_max + 1, min(m_max, n_max) + 1), dtype=complex)
+    acc = np.zeros((m_max + n_max + 1, kmax + 1), dtype=complex)
     for d in range(-n_max, m_max + 1):
         k_d = min(m_max - max(d, 0), n_max + min(d, 0)) + 1
-        radial = jac[:k_d, abs(d)] * rule.radial_nodes ** abs(d)
-        acc[d + n_max, :k_d] = ((rw * radial) * fourier[:, d + n_max]).sum(axis=-1)
+        acc[d + n_max, :k_d] = (jac[:k_d, abs(d)] * fourier[:, d + n_max]).sum(axis=-1)
 
     m = np.arange(m_max + 1)[:, None]
     n = np.arange(n_max + 1)[None, :]

@@ -176,6 +176,32 @@ def lauricella_f14_oracle(c: float, b: float, x1: complex, x2: complex, x3: comp
     raise AssertionError("reference F14 series did not converge")
 
 
+def jacobi_rows_loop(kmax: int, alpha: float, beta, t: np.ndarray) -> np.ndarray:
+    """Normalized Jacobi rows R_j = P_j / P_j(1), j = 0..kmax, with the
+    recurrence coefficients formed inside each step and the rows divided by
+    their norms one at a time.  This is the loop ``jacobi_R_all`` replaced; it
+    must reproduce it exactly.  ``beta`` is a scalar (shape (kmax+1, len(t)))
+    or a 1-d array (shape (kmax+1, len(beta), len(t)))."""
+    if np.ndim(beta):
+        beta = np.asarray(beta, dtype=float)[:, None]
+    rows = np.empty((kmax + 1,) + np.broadcast_shapes(np.shape(beta), t.shape), dtype=float)
+    rows[0] = 1.0
+    if kmax >= 1:
+        rows[1] = 0.5 * ((alpha + beta + 2.0) * t + (alpha - beta))
+    ab = alpha + beta
+    for j in range(2, kmax + 1):
+        c1 = 2.0 * j * (j + ab) * (2.0 * j + ab - 2.0)
+        c2 = (2.0 * j + ab - 1.0) * (alpha * alpha - beta * beta)
+        c3 = (2.0 * j + ab - 2.0) * (2.0 * j + ab - 1.0) * (2.0 * j + ab)
+        c4 = 2.0 * (j + alpha - 1.0) * (j + beta - 1.0) * (2.0 * j + ab)
+        rows[j] = ((c2 + c3 * t) * rows[j - 1] - c4 * rows[j - 2]) / c1
+    norm = 1.0
+    for j in range(1, kmax + 1):
+        norm *= (alpha + j) / j
+        rows[j] /= norm
+    return rows
+
+
 def expand_loop(f, alpha: float, m_max: int, n_max: int, rule=None) -> CoefficientTable:
     """Per-entry coefficient extraction: one Jacobi recurrence per |d| and one
     Gauss sum and one ``disc_norm_h`` per (m, n).  This is the loop ``expand``

@@ -86,6 +86,18 @@ def test_expand_exit_codes(tmp_path, capsys):
     assert rc3 == 2  # --builtin without --q
 
 
+@pytest.mark.parametrize("flag", ["--radial-order", "--angular-order"])
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_expand_refuses_a_quadrature_order_below_one(tmp_path, capsys, flag, order):
+    out = tmp_path / "x.json"
+    rc, stdout, stderr = run(
+        capsys, "expand", "--builtin", "poisson", "--param", "r=0.5", "--q", "2",
+        "--mmax", "2", "--nmax", "2", flag, order, "--out", str(out),
+    )
+    assert (rc, stdout, stderr) == (2, "", "error: quadrature orders must be at least 1\n")
+    assert not out.exists()
+
+
 def test_walk_round_trip_drops_first_column(tmp_path, capsys):
     base = tmp_path / "base.json"
     CoefficientTable(alpha=0.0, entries={(0, 0): 1.0, (0, 2): 0.5, (1, 1): 2.0, (3, 0): 0.25}).save(base)

@@ -30,7 +30,7 @@ from discwalk import (
     synthesize,
 )
 from discwalk.special import disc_norm_h_rows
-from helpers import expand_loop
+from helpers import expand_loop, jacobi_rows_loop
 
 
 def _bumpy(z):
@@ -59,6 +59,8 @@ def _assert_same_table(a: CoefficientTable, b: CoefficientTable) -> None:
         (0.7, 6, 6, (15, 31)),
         (-0.5, 2, 9, (40, 23)),
         (1.0, 16, 16, (50, 80)),
+        (1.0, 64, 64, None),
+        (0.0, 40, 17, None),
     ],
 )
 def test_expand_equals_per_entry_loop(alpha, m_max, n_max, orders):
@@ -108,6 +110,39 @@ def test_jacobi_R_all_array_beta_is_bit_equal_to_per_beta_calls(alpha, kmax):
     assert rows.shape == (kmax + 1, betas.size, t.size)
     for i, beta in enumerate(betas):
         assert np.array_equal(rows[:, i], jacobi_R_all(kmax, alpha, float(beta), t))
+
+
+_JACOBI_T = np.concatenate([[-1.0, 0.0, 1.0], np.cos(np.linspace(0.1, 3.0, 29))])
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7, 2.0])
+@pytest.mark.parametrize("kmax", [0, 1, 2, 17, 64])
+def test_jacobi_R_all_is_bit_equal_to_the_per_step_loop(alpha, kmax):
+    for beta in (0.0, 3.0, 2.5, -0.5, np.concatenate([np.arange(65.0), [-0.5, 0.3, 2.5]])):
+        rows = jacobi_R_all(kmax, alpha, beta, _JACOBI_T)
+        assert np.array_equal(rows, jacobi_rows_loop(kmax, alpha, beta, _JACOBI_T))
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7, 2.0])
+@pytest.mark.parametrize("kmax, high", [(0, 0), (1, 5), (4, 9), (17, 17), (17, 40), (64, 64)])
+def test_jacobi_R_all_top_degree_keeps_the_triangle_and_zeroes_the_rest(alpha, kmax, high):
+    # the top degrees expand passes for an (m_max, n_max) = (high, kmax) table
+    betas = np.arange(high + 1)
+    top = np.minimum(high - betas, kmax)
+    rows = jacobi_R_all(kmax, alpha, betas, _JACOBI_T, top)
+    full = jacobi_rows_loop(kmax, alpha, betas, _JACOBI_T)
+    assert rows.shape == full.shape
+    for i, k in enumerate(top):
+        assert np.array_equal(rows[: k + 1, i], full[: k + 1, i])
+        assert not np.any(rows[k + 1 :, i])
+
+
+def test_jacobi_R_all_refuses_a_bad_top_degree():
+    t = np.linspace(-1, 1, 5)
+    b2, b3 = np.arange(2.0), np.arange(3.0)
+    for beta, top in [(2.0, 3), (b3, [1, 2, 0]), (b3, [2, 1]), (b2, [0, -1])]:
+        with pytest.raises(DomainError):
+            jacobi_R_all(3, 1.0, beta, t, top)
 
 
 def test_jacobi_R_all_scalar_beta_keeps_its_shape_and_array_beta_is_checked():

@@ -64,6 +64,48 @@ def test_jacobi_matches_scipy_recurrence_oracle(alpha, beta):
         assert np.max(np.abs(mine - ref)) < 1e-12
 
 
+def _jacobi_R_rows_mp(kmax, alpha, beta, ts):
+    # R_j = P_j / P_j(1) for j = 0..kmax by the three-term recurrence in the
+    # working precision of mpmath, rounded to floats row by row
+    import mpmath as mp
+
+    a, b = mp.mpf(alpha), mp.mpf(beta)
+    ts = [mp.mpf(float(v)) for v in ts]
+    p0, p1 = [mp.mpf(1)] * len(ts), [((a + b + 2) * v + (a - b)) / 2 for v in ts]
+    out = [[1.0] * len(ts), [float(p / (a + 1)) for p in p1]]
+    for j in range(2, kmax + 1):
+        c1 = 2 * j * (j + a + b) * (2 * j + a + b - 2)
+        c2 = (2 * j + a + b - 1) * (a * a - b * b) / c1
+        c3 = (2 * j + a + b - 2) * (2 * j + a + b - 1) * (2 * j + a + b) / c1
+        c4 = 2 * (j + a - 1) * (j + b - 1) * (2 * j + a + b) / c1
+        p0, p1 = p1, [(c2 + c3 * v) * q1 - c4 * q0 for v, q1, q0 in zip(ts, p1, p0)]
+        scale = mp.factorial(j) / mp.rf(a + 1, j)  # 1 / P_j(1)
+        out.append([float(p * scale) for p in p1])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+def test_jacobi_R_all_to_degree_64_against_mpmath(alpha):
+    # the degrees and betas expand reads for a 64 x 64 table, on the radial
+    # nodes of its default rule; errors relative to each row's maximum
+    import mpmath as mp
+
+    from discwalk import default_rule
+
+    t = np.clip(2.0 * default_rule(alpha, 64, 64).radial_nodes ** 2 - 1.0, -1.0, 1.0)
+    betas = list(range(0, 65, 8))
+    rows = jacobi_R_all(64, alpha, np.array(betas, dtype=float), t)
+    with mp.workdps(30):
+        for i, beta in enumerate(betas):
+            ref = _jacobi_R_rows_mp(64, alpha, beta, t)
+            # the oracle's top row against mpmath's hypergeometric Jacobi
+            for node in (0, len(t) // 2, len(t) - 1):
+                want = mp.jacobi(64, alpha, beta, t[node]) / mp.jacobi(64, alpha, beta, 1)
+                assert ref[64, node] == pytest.approx(float(want), rel=1e-15)
+            err = np.max(np.abs(rows[:, i] - ref), axis=1) / np.max(np.abs(ref), axis=1)
+            assert np.max(err) <= 1e-13, (beta, np.argmax(err), np.max(err))
+
+
 def test_jacobi_R_all_consistency():
     t = np.linspace(-1, 1, 7)
     rows = jacobi_R_all(6, 1.5, 2.0, t)
