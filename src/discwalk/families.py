@@ -15,15 +15,13 @@ expansions, used as ground-truth fixtures everywhere else:
 * ``lauricella``:  triple hypergeometric (F14-type) kernel, coefficients
                    (q-1)_n (b)_m t^m s^n/(m! n!) at key (m+n, n).
 
-Series evaluators sum with term recurrences over the whole array of
-evaluation points at once.  Each point stops on its own, so each value is the
-one a single-point call computes bit for bit.  In both series the innermost
-sum is a Gauss 2F1 that Euler's transformation turns into a polynomial: Horn's
-H4 double series becomes a single series and Lauricella's F14 triple series a
-double series.  Both share one stopping rule: a series ends at a point after
-three consecutive terms below 1e-17 of its partial sum, with at most 400 terms
-per index, and a term above 1e120 is a divergence.  The tests check both
-against 30-digit mpmath sums of the series as defined.
+Lauricella's F14 series sums to an elementary kernel (Euler's and Pfaff's
+transformations, the Jacobi generating function, the binomial series):
+D^-1 ((1+s+D)/(1+s-2s|z|^2+D))^(q-2) (1 - 2tz/(1+s+D))^-b, D = sqrt((1+s)^2 - 4s|z|^2).
+Horn's H4 series is the one series evaluator: Euler's transformation makes it a
+single series, summed over all points at once.  Each point stops after three
+consecutive terms below 1e-17 of its partial sum, so its value is the one a
+single-point call computes bit for bit.
 Closed-form coefficient tables take their factorial and Pochhammer ratios in
 log space, so large tables underflow to zero instead of overflowing.  They
 are built from per-index arrays: each lgamma value and Exponential's inner
@@ -48,9 +46,8 @@ from .special import disc_norm_h, disc_norm_h_rows, ensure_in_disk, libm_each
 from .tables import CoefficientTable, read_index
 
 _SERIES_RTOL = 1e-17  # under half an ulp of a series sum of modulus 1 or more
-_SERIES_CAP = 400
-_SERIES_BLOWUP = 1e120
-_F14_CHUNK = 256  # points per pass, to keep the (points x n) arrays small
+_SERIES_CAP = 400  # terms per point of Horn's H4 series
+_SERIES_BLOWUP = 1e120  # a term above it is a divergence
 
 
 def sigma_2q(q: int) -> float:
@@ -255,8 +252,8 @@ def _sum_series(total, state, advance, what: str):
 
 
 def _flat_broadcast(*args):
-    """Broadcast series arguments to flat complex arrays; also the output shape."""
-    arrs = np.broadcast_arrays(*(np.asarray(a, dtype=complex) for a in args))
+    """Broadcast arguments to flat float or complex arrays; also the output shape."""
+    arrs = np.broadcast_arrays(*(np.asarray(a, dtype=np.result_type(a, float)) for a in args))
     return [a.ravel() for a in arrs], arrs[0].shape
 
 
@@ -289,66 +286,39 @@ def _horn_h4(a: float, b: float, x, y):
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 
-def _f14_chunk(c: float, b: float, x1, u, v):
-    """(1 - x1) F14 at a chunk of points: sum_{n,p} (b)_n u^n/n! (c)_p v^p/p! Q_{n,p}(x1)
-    with u = x2/(1 - x1) and v = x3/(1 - x1)^2; n- and p-series stop after three quiet terms."""
-    size = x1.size
-    # the n-terms as a (points x n) array; a point's row ends after its own
-    # third quiet term and is zero beyond it
-    term = np.ones(size, dtype=complex)
-    cols, acc, quiet = [term], term, np.zeros(size, dtype=int)
-    for n in range(1, _SERIES_CAP + 1):
-        term = np.where(quiet < 3, term * ((b + n - 1) / n * u), 0.0)
-        mag = np.abs(term)
-        if np.any(mag > _SERIES_BLOWUP):
-            raise ConvergenceError("n-series terms diverge; parameters outside domain")
-        acc = acc + term
-        quiet = np.where(mag <= _SERIES_RTOL * np.maximum(1.0, np.abs(acc)), quiet + 1, 0)
-        cols.append(term)
-        if np.all(quiet >= 3):
-            break
-    else:
-        raise ConvergenceError("n-series failed to converge within the term cap")
-    rows = np.stack(cols, axis=1)
-    ns = np.arange(rows.shape[1])
-
-    def advance(p, state):
-        x1, v, rows, head = state  # head: (c)_p v^p / p!
-        head = head * ((c + p - 1) / p * v)
-        q_term = q = np.ones(rows.shape, dtype=x1.dtype)
-        for i in range(1, p + 1):  # Q_{n,p}(x1) by its term recurrence in i
-            q_term = q_term * ((c - 2 - ns - p + i) * (i - 1 - p) / ((c + i - 1) * i) * x1[:, None])
-            q = q + q_term
-        return head * np.add.accumulate(rows * q, axis=1)[:, -1], [x1, v, rows, head]
-
-    # sequential n-sums (accumulate): zeros past a row's end and other points keep each point's bits
-    total = np.add.accumulate(rows, axis=1)[:, -1]
-    return _sum_series(total, [x1, v, rows, np.ones(size, dtype=complex)], advance, "p-series")
-
-
 def _lauricella_f14(c: float, b: float, x1, x2, x3):
-    """F14-type triple series of the Lauricella kernel, summed as a double series:
-    sum (1)_{m+n+p} (c)_{m+p} (b)_n / ((c)_m (1)_{n+p}) x1^m x2^n x3^p / (m! n! p!).
+    """F14-type series of the Lauricella kernel, summed in closed form:
+    sum_n sum_p sum_m (1)_{m+n+p} (c)_{m+p} (b)_n / ((c)_m (1)_{n+p}) x1^m x2^n x3^p / (m! n! p!)
+    = (c+/c-)^(c-1) (1 - 2 x2/c+)^-b / R, c+- = 1 - x1 +- x3 + R, R^2 = (1 - x1 - x3)^2 - 4 x1 x3.
 
-    The m-sum (c)_p 2F1(n+p+1, c+p; c; x1) is, by Euler's transformation (DLMF
-    15.8.1), (1 - x1)^-(n+2p+1) times the degree-p polynomial
-    Q_{n,p}(x1) = 2F1(c-1-n-p, -p; c; x1); x1 must be real with |x1| < 1.
-    Arguments are scalars or arrays (broadcast together), taken _F14_CHUNK
-    points at a time; each point stops on its own.  Scalar arguments give a complex.
+    Euler's (DLMF 15.8.1) and Pfaff's transformations turn the m-sum (c)_p 2F1(n+p+1, c+p; c; x1)
+    into (1 - x1)^-(n+p+1) p! P_p^(c-1, n+1-c)((1 + x1)/(1 - x1)); the p-sum is the Jacobi
+    generating function (DLMF 18.12.1) in w = x3/(1 - x1), the n-sum a binomial series.
+    They converge where x1 is real, |x1| < 1, |w| < (1 - r)/(1 + r) with r = sqrt(max(x1, 0)),
+    and |2 x2| < |c+|; elsewhere ``ConvergenceError`` is raised before any arithmetic that can
+    warn.  Inside, each factor 1 - w e^(+-i phi) of (R/(1 - x1))^2 has a positive real part,
+    so principal branches are the right ones.  Arguments are scalars or arrays (broadcast
+    together), real ones stay real; scalar arguments give a complex.
     """
     (x1, x2, x3), shape = _flat_broadcast(x1, x2, x3)
-    if x1.imag.any():
+    if np.iscomplexobj(x1) and x1.imag.any():
         raise DomainError("the F14 evaluator takes a real x1, as the kernel has")
     x1 = x1.real
     if not np.all(np.abs(x1) < 1.0):
         raise ConvergenceError("the F14 m-series needs |x1| < 1")
-    w = 1.0 - x1
-    u, v = x2 / w, x3 / (w * w)
-    out = np.empty(x1.size, dtype=complex)
-    for k in range(0, x1.size, _F14_CHUNK):
-        part = slice(k, k + _F14_CHUNK)
-        out[part] = _f14_chunk(c, b, x1[part], u[part], v[part]) / w[part]
-    return complex(out[0]) if shape == () else out.reshape(shape)
+    r, neg = np.sqrt(np.maximum(x1, 0.0)), np.minimum(x1, 0.0)
+    lo = (1.0 - r) ** 2 - neg  # (1 - x1) times the Jacobi radius
+    if not np.all(np.abs(x3) < lo):
+        raise ConvergenceError("the F14 p-series needs |x3|/(1 - x1) below the Jacobi radius")
+    # R^2 in factors: for real x3 with |x3| < lo it rounds to > 0, so R is real and not 0
+    big = np.sqrt((lo - x3) * ((1.0 + r) ** 2 - neg - x3) - 4.0 * neg * x3)
+    c_minus = 1.0 - x1 - x3 + big
+    c_plus = c_minus + 2.0 * x3
+    if not np.all(np.abs(x2) < 0.5 * np.abs(c_plus)):
+        raise ConvergenceError("the F14 n-series needs |2 x2| < |c+|")
+    # c+/c- = 1 + 2 x3/c-: log1p keeps the digits that a power of the ratio loses
+    out = np.exp((c - 1.0) * np.log1p(2.0 * x3 / c_minus)) * (1.0 - 2.0 * x2 / c_plus) ** -b / big
+    return complex(out[0]) if shape == () else out.reshape(shape).astype(complex)
 
 
 def eval_family(spec: FamilySpec, z):
@@ -379,10 +349,8 @@ def eval_family(spec: FamilySpec, z):
         # a numpy product also for a scalar z, so that it rounds as a point of an array does
         out = np.multiply(_horn_h4(q - 1.0, float(spec.b), xs, ys), (1.0 - spec.s) ** (1 - q))
     elif isinstance(spec, Lauricella):
-        x1 = spec.s * (np.abs(arr) ** 2 - 1.0)
-        x2 = spec.t * arr
-        x3 = spec.s * np.abs(arr) ** 2
-        out = _lauricella_f14(q - 1.0, float(spec.b), x1, x2, x3)
+        r2 = np.abs(arr) ** 2
+        out = _lauricella_f14(q - 1.0, float(spec.b), spec.s * (r2 - 1.0), spec.t * arr, spec.s * r2)
     else:  # pragma: no cover
         raise DomainError(f"unknown family spec {spec!r}")
     return complex(np.ravel(out)[0]) if scalar else np.asarray(out, dtype=complex)

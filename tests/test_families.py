@@ -493,6 +493,62 @@ def test_lauricella_needs_a_real_x1_inside_the_unit_disk():
         _lauricella_f14(2.0, 2.0, np.array([-0.1, -0.1 + 0.05j]), 0.1, 0.05)
 
 
+@pytest.mark.parametrize(
+    "x1, x2, x3",
+    [
+        (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (float("nan"), 0.0, 0.0),  # |x1| < 1
+        (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 0.0, 1j),  # |x3| < 1 - x1 where x1 <= 0
+        (0.25, 0.0, 0.3), (0.25, 0.0, 0.25),  # |x3| < (1 - sqrt(x1))^2 where x1 > 0
+        (0.0, 0.0, float("nan")), (0.0, 0.0, float("inf")),
+        (0.0, 1.0, 0.5), (0.0, 1j, 0.5), (-0.5, 2.0, 0.0),  # |2 x2| < |c+|
+        (0.0, float("nan"), 0.5), (0.0, complex("inf"), 0.5),
+        (-0.1 + 0.05j, 0.0, 0.0),  # x1 must be real
+    ],
+)
+def test_lauricella_refuses_outside_the_series_region_before_any_arithmetic(x1, x2, x3):
+    # the series diverges there; under errstate(all="raise") a sqrt of a negative
+    # number, a division by zero or an inf - inf would surface as FloatingPointError
+    from discwalk import ConvergenceError
+
+    error = DomainError if isinstance(x1, complex) else ConvergenceError
+    with np.errstate(all="raise"), pytest.raises(error):
+        _lauricella_f14(2.0, 2.0, np.array([-0.1, x1]), np.array([0.1, x2]), np.array([0.05, x3]))
+
+
+def test_lauricella_just_inside_the_p_series_radius_gives_finite_values():
+    # a few ulps inside |x3| = (1 - sqrt x1)^2 a rounded R^2 must stay above 0
+    x1 = np.linspace(0.01, 0.99, 99)
+    x3 = (1.0 - np.sqrt(x1)) ** 2
+    for _ in range(3):
+        x3 = np.nextafter(x3, 0.0)
+        with np.errstate(all="raise"):
+            assert np.all(np.isfinite(_lauricella_f14(2.5, 2.0, x1, 0.0, x3)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("D", [8, 16])
+def test_lauricella_extraction_matches_the_exact_table(q, D):
+    # the closed form through the whole quadrature path, against the coefficient formula
+    from discwalk import expand
+    from helpers import table_max_diff
+
+    spec = Lauricella(t=0.2, s=0.1, b=2, q=q)
+    extracted = expand(lambda z: eval_family(spec, z), q - 2, D, D)
+    assert table_max_diff(extracted, family_coefficients(spec, D, D)) <= 1e-11
+
+
+@pytest.mark.parametrize("q", [6, 8])
+@pytest.mark.parametrize("b", [1, 5])
+def test_lauricella_matches_the_oracle_at_larger_q_and_b(q, b):
+    # t = 0.45 and s = 0.24 sit near r2 = 0.5 and r1 = 0.25
+    spec = Lauricella(t=0.45, s=0.24, b=b, q=q)
+    z = np.array([0j, 1 + 0j, 0.9 * np.exp(2.2j)])
+    got = eval_family(spec, z)
+    r2 = np.abs(z) ** 2
+    for w, x1, x2, x3 in zip(got, spec.s * (r2 - 1.0), spec.t * z, spec.s * r2):
+        assert abs(w - lauricella_f14_oracle(q - 1.0, b, x1, x2, x3)) <= 1e-14 * abs(w)
+
+
 # --------------------------------------------------------------------------
 # exact coefficient tables beyond the float range of the factorials
 
