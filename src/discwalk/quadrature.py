@@ -13,6 +13,7 @@ equal weights (exact for trigonometric polynomials of degree < angular_order).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -52,25 +53,85 @@ class DiskRule:
         return self.radial_nodes[:, None] * np.exp(1j * self.angular_nodes)[None, :]
 
 
+#: largest radial order whose dense n x n Jacobi matrix is built: at the
+#: budget, the matrix and eigvalsh's copy of it take about 65 MB and 1.3 s
+_RADIAL_BUDGET = 2048
+
+
+def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and unit-mass weights of the n-point Gauss rule for
+    the weight (1-u)^alpha on [-1, 1] (Golub-Welsch, polished).
+
+    The nodes are the eigenvalues of the Jacobi matrix of P_k^(alpha,0),
+    refined by one Newton step on P_n.  P_n / P_{n-1} comes from one pass of
+    the matrix's own (monic) three-term recurrence, carried as a ratio
+    rescaled to y_{k+1} = e_k - 1/y_k, so no value over- or underflows, and
+
+        (2n+alpha)(1-u^2) P_n' = n(alpha - (2n+alpha)u) P_n + 2n(n+alpha) P_{n-1}.
+
+    The weights are proportional to 1 / ((1-u_i^2) prod_{j != i} (u_i-u_j)^2),
+    which needs only the nodes; the products are summed as logs.
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + alpha
+    off2 = 4.0 * (k * (k + alpha) / s) ** 2 / ((s - 1.0) * (s + 1.0))
+    diag = np.concatenate(([-alpha / (alpha + 2.0)], -alpha * alpha / (s * (s + 2.0))))
+    buf = np.zeros((n, n))  # the Jacobi matrix (lower half), then work space
+    flat = buf.ravel()
+    flat[:: n + 1] = diag
+    flat[n :: n + 1] = np.sqrt(off2)
+    u = np.linalg.eigvalsh(buf)
+
+    # pi_{k+1} = (u - diag_k) pi_k - off2_k pi_{k-1}; with lam_1 = 1 and
+    # lam_{k+1} = off2_k / lam_k, y_k = pi_k / (lam_k pi_{k-1}) has unit off2_k
+    lam = [1.0]
+    for b2 in off2.tolist():
+        lam.append(b2 / lam[-1])
+    inv = 1.0 / np.array(lam[1:])
+    e = np.multiply.outer(inv, u, out=buf[1:])
+    e -= (diag[1:] * inv)[:, None]
+    y = u - diag[0]
+    with np.errstate(divide="ignore"):  # y = 0 passes through 1/y = inf exactly
+        for row in e:
+            np.reciprocal(y, out=y)
+            np.subtract(row, y, out=y)
+    m = 2.0 * n + alpha
+    ratio = m * (m - 1.0) / (2.0 * n * (n + alpha)) * lam[-1] * y  # P_n / P_{n-1}
+    u -= m * (1.0 - u) * (1.0 + u) * ratio / (n * (alpha - m * u) * ratio + 2.0 * n * (n + alpha))
+
+    d = np.subtract.outer(u, u, out=buf)
+    np.fill_diagonal(d, 1.0)
+    width = n
+    for _ in range(3):  # products of up to 8 differences: one log per 8
+        half = width // 2
+        np.multiply(d[:, :half], d[:, width - half : width], out=d[:, :half])
+        width -= half
+    log_w = -np.log((1.0 - u) * (1.0 + u)) - 2.0 * np.log(np.abs(d[:, :width])).sum(axis=1)
+    w = np.exp(log_w - log_w.max())
+    return u, w / w.sum()
+
+
 def build_rule(alpha: float, radial_order: int, angular_order: int) -> DiskRule:
-    """Gauss-Jacobi (radial) x equispaced-trapezoid (angular) rule for dnu_alpha."""
+    """Gauss-Jacobi (radial) x equispaced-trapezoid (angular) rule for dnu_alpha.
+
+    A radial order over ``_RADIAL_BUDGET`` raises ``CapacityError``.
+    """
     if not alpha > -1.0:
         raise DomainError(f"measure parameter must exceed -1, got alpha = {alpha}")
+    if any(isinstance(o, bool) or not isinstance(o, numbers.Integral) for o in (radial_order, angular_order)):
+        raise DomainError(f"quadrature orders must be integers, got {radial_order!r} and {angular_order!r}")
     if radial_order < 1 or angular_order < 1:
         raise DomainError("quadrature orders must be at least 1")
-    from scipy.special import roots_jacobi  # here, so that importing discwalk loads no scipy
-    u, w = roots_jacobi(radial_order, alpha, 0.0)
-    r = np.sqrt((1.0 + u) / 2.0)
-    radial_w = (alpha + 1.0) * 2.0 ** (-alpha - 1.0) * w
-    radial_w /= radial_w.sum()  # exact unit mass despite rounding
-    theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
+    if radial_order > _RADIAL_BUDGET:
+        raise CapacityError(f"radial order {radial_order} exceeds the Jacobi matrix budget of {_RADIAL_BUDGET}")
+    u, radial_w = _gauss_jacobi(int(radial_order), float(alpha))
     return DiskRule(
         alpha=float(alpha),
         radial_order=int(radial_order),
         angular_order=int(angular_order),
-        radial_nodes=r,
+        radial_nodes=np.sqrt((1.0 + u) / 2.0),
         radial_weights=radial_w,
-        angular_nodes=theta,
+        angular_nodes=2.0 * np.pi * np.arange(angular_order) / angular_order,
     )
 
 

@@ -357,3 +357,36 @@ def family_coefficients_loop(spec, m_max: int, n_max: int) -> CoefficientTable:
     else:
         raise ValueError(f"no closed-form table for {spec!r}")
     return CoefficientTable(alpha=alpha, entries=entries, source="exact")
+
+
+def gauss_jacobi_oracle(n: int, alpha: float) -> tuple[list, list]:
+    """30-digit nodes and unit-mass weights of the n-point Gauss rule for
+    (1-u)^alpha on [-1, 1].  Each of scipy's nodes takes two Newton steps on
+    P_n^(alpha,0), evaluated by its three-term recurrence; the weights are
+    2^(alpha+1) / ((1-u^2) P_n'(u)^2) over the exact mass 2^(alpha+1)/(alpha+1)."""
+    import mpmath as mp
+    from scipy.special import roots_jacobi
+
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        steps = []  # P_k = (A u + B) P_{k-1} - C P_{k-2}, k = 2..n
+        for k in range(2, n + 1):
+            t, den = 2 * k + a, 2 * k * (k + a) * (2 * k + a - 2)
+            steps.append(((t - 1) * t * (t - 2) / den, (t - 1) * a * a / den, 2 * (k - 1) * (k + a - 1) * t / den))
+
+        def value_and_slope(u):
+            prev, p = mp.mpf(1), ((a + 2) * u + a) / 2
+            for A, B, C in steps:
+                prev, p = p, (A * u + B) * p - C * prev
+            return p, (n * (a - (2 * n + a) * u) * p + 2 * n * (n + a) * prev) / ((2 * n + a) * (1 - u * u))
+
+        nodes, weights = [], []
+        for guess in roots_jacobi(n, alpha, 0.0)[0]:
+            u = mp.mpf(float(guess))
+            for _ in range(2):
+                p, dp = value_and_slope(u)
+                u -= p / dp
+            _, dp = value_and_slope(u)
+            nodes.append(u)
+            weights.append((a + 1) / ((1 - u * u) * dp * dp))
+        return nodes, weights

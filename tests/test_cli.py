@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import discwalk.quadrature as quadrature
 from discwalk import (
     CoefficientTable,
     Exponential,
@@ -84,6 +85,30 @@ def test_expand_exit_codes(tmp_path, capsys):
     assert rc2 == 3
     rc3, _, _ = run(capsys, "expand", "--builtin", "exponential", "--out", str(out))
     assert rc3 == 2  # --builtin without --q
+
+
+@pytest.mark.parametrize("family, params", [("exponential", []), ("aktas", ["--param", "t=0.3"])])
+def test_expand_at_degree_64_q4_passes_the_nonnegativity_gate(tmp_path, capsys, family, params):
+    out = tmp_path / "t.json"
+    rc, stdout, stderr = run(
+        capsys, "expand", "--builtin", family, *params, "--q", "4",
+        "--mmax", "64", "--nmax", "64", "--out", str(out),
+    )
+    assert (rc, stderr) == (0, "")
+    assert stdout.startswith("coefficient_sum ")
+
+
+def test_expand_refuses_a_radial_order_past_the_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(quadrature, "_gauss_jacobi", None)  # the refusal comes before any work
+    out = tmp_path / "x.json"
+    order = quadrature._RADIAL_BUDGET + 1
+    rc, stdout, stderr = run(
+        capsys, "expand", "--builtin", "poisson", "--param", "r=0.5", "--q", "2",
+        "--mmax", "2", "--nmax", "2", "--radial-order", str(order), "--out", str(out),
+    )
+    assert (rc, stdout) == (3, "")
+    assert stderr == f"error: radial order {order} exceeds the Jacobi matrix budget of {quadrature._RADIAL_BUDGET}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--radial-order", "--angular-order"])
@@ -312,7 +337,7 @@ def test_module_entrypoint_subprocess(tmp_path):
 
 
 def test_walk_and_check_set_load_no_scipy(tmp_path):
-    # only a quadrature rule needs scipy; requests that build none never import it
+    # no subcommand imports scipy
     table, walked = tmp_path / "t.json", tmp_path / "w.json"
     CoefficientTable(alpha=1.0, entries={(1, 0): 1.0, (0, 1): 1.0, (2, 2): 0.5}).save(table)
     code = (
@@ -320,6 +345,22 @@ def test_walk_and_check_set_load_no_scipy(tmp_path):
         f"assert cli.main(['walk', '--op', 'dz', '--in', {str(table)!r}, '--out', {str(walked)!r}]) == 0\n"
         "assert cli.main(['check', '--set', '{\"finite\": [-1, 4]}']) == 0\n"
         "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_expand_gram_and_plot_data_run_with_scipy_blocked(tmp_path):
+    # sys.modules["scipy"] = None makes every import of scipy fail
+    table, csv = tmp_path / "t.json", tmp_path / "p.csv"
+    code = (
+        "import sys\nsys.modules['scipy'] = None\nfrom discwalk import cli\n"
+        "assert cli.main(['expand', '--builtin', 'exponential', '--q', '3', '--mmax', '16', '--nmax', '16',"
+        f" '--out', {str(table)!r}]) == 0\n"
+        "assert cli.main(['gram', '--builtin', 'aktas', '--param', 't=0.3', '--q', '3', '--points', '16']) == 0\n"
+        f"assert cli.main(['plot-data', '--in', {str(table)!r}, '--grid', '5', '--out', {str(csv)!r}]) == 0\n"
+        "print(sorted(n for n, m in sys.modules.items() if n.partition('.')[0] == 'scipy' and m is not None))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

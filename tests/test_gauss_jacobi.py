@@ -1,0 +1,84 @@
+"""The radial Gauss-Jacobi rule: nodes and weights against a 30-digit oracle,
+the refusals of ``build_rule``, and the extraction accuracy the rule gives."""
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+import discwalk.quadrature as quadrature
+from discwalk import (
+    Aktas,
+    CapacityError,
+    DomainError,
+    Exponential,
+    build_rule,
+    eval_family,
+    expand,
+    family_coefficients,
+)
+from helpers import gauss_jacobi_oracle, table_max_diff
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 40, 136])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.0, 2.5, 7.0])
+def test_rule_matches_the_mpmath_gauss_jacobi_oracle(alpha, n):
+    nodes, weights = gauss_jacobi_oracle(n, alpha)
+    assert abs(mp.fsum(weights) - 1) < 1e-25  # the oracle's own check: exact mass
+    rule = build_rule(alpha, n, 1)
+    # a node is compared in the Jacobi variable u = 2 r^2 - 1, exactly
+    u = [2 * mp.mpf(float(r)) ** 2 - 1 for r in rule.radial_nodes]
+    assert max(abs(a - b) for a, b in zip(u, nodes)) <= 1e-15
+    assert max(abs(w / v - 1) for w, v in zip(rule.radial_weights.tolist(), weights)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [998.0, 1e6])
+def test_rule_is_finite_with_unit_mass_at_large_alpha(alpha):
+    rule = build_rule(alpha, 40, 4)
+    assert np.all(np.isfinite(rule.radial_weights))
+    assert np.all((rule.radial_nodes > 0) & (rule.radial_nodes < 1))
+    assert rule.radial_weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "radial, angular", [(10, 24.5), (9.5, 24), (10.0, 24), (True, 24), (10, False), ("10", 24), (None, 24)]
+)
+def test_rule_refuses_non_integer_orders(radial, angular):
+    with pytest.raises(DomainError) as info:
+        build_rule(0.0, radial, angular)
+    assert "\n" not in str(info.value)
+    assert str(info.value).startswith("quadrature orders must be integers")
+
+
+def test_rule_accepts_numpy_integer_orders():
+    rule = build_rule(0.0, np.int64(10), np.int32(24))
+    assert (type(rule.radial_order), type(rule.angular_order)) == (int, int)
+    assert rule.angular_nodes.size == rule.angular_order == 24
+
+
+def test_radial_order_past_the_budget_is_refused_before_any_work(monkeypatch):
+    def no_rule(*args):
+        raise AssertionError("the rule was built")
+
+    monkeypatch.setattr(quadrature, "_gauss_jacobi", no_rule)
+    with pytest.raises(CapacityError) as info:
+        build_rule(0.0, quadrature._RADIAL_BUDGET + 1, 4)
+    assert str(info.value) == (
+        f"radial order {quadrature._RADIAL_BUDGET + 1} exceeds the Jacobi matrix budget "
+        f"of {quadrature._RADIAL_BUDGET}"
+    )
+
+
+def test_radial_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(quadrature, "_RADIAL_BUDGET", 8)
+    assert build_rule(0.0, 8, 4).radial_nodes.size == 8
+    with pytest.raises(CapacityError):
+        build_rule(0.0, 9, 4)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("spec_of", [Exponential, lambda q: Aktas(t=0.3, q=q)], ids=["exponential", "aktas"])
+def test_extraction_at_degree_64_is_within_1e_10_of_the_exact_table(spec_of, q):
+    spec = spec_of(q)
+    extracted = expand(lambda z: eval_family(spec, z), q - 2.0, 64, 64)
+    assert table_max_diff(extracted, family_coefficients(spec, 64, 64)) <= 1e-10
+
