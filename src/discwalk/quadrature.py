@@ -8,7 +8,8 @@ polar coordinates.  Substituting u = 2r^2 - 1 maps the radial integral
 a pure Gauss-Jacobi integral with weight (1-u)^alpha, which also matches the
 Jacobi argument 2r^2-1 inside the disc polynomials and avoids endpoint
 singularity handling for -1 < alpha < 0.  Angular nodes are equispaced with
-equal weights (exact for trigonometric polynomials of degree < angular_order).
+equal weights (exact for trigonometric polynomials of degree < angular_order),
+so the angular sums of :func:`expand` are one FFT per radial node.
 """
 
 from __future__ import annotations
@@ -72,43 +73,54 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     The weights are proportional to 1 / ((1-u_i^2) prod_{j != i} (u_i-u_j)^2),
     which needs only the nodes; the products are summed as logs.
     """
-    k = np.arange(1.0, n)
-    s = 2.0 * k + alpha
-    off2 = 4.0 * (k * (k + alpha) / s) ** 2 / ((s - 1.0) * (s + 1.0))
-    diag = np.concatenate(([-alpha / (alpha + 2.0)], -alpha * alpha / (s * (s + 2.0))))
-    buf = np.zeros((n, n))  # the Jacobi matrix (lower half), then work space
-    flat = buf.ravel()
-    flat[:: n + 1] = diag
-    flat[n :: n + 1] = np.sqrt(off2)
-    u = np.linalg.eigvalsh(buf)
+    # at huge alpha the nodes crowd at -1 and coincide in floating point;
+    # such a rule is refused below, so its warnings are not printed
+    with np.errstate(all="ignore"):
+        k = np.arange(1.0, n)
+        s = 2.0 * k + alpha
+        off2 = 4.0 * (k * (k + alpha) / s) ** 2 / ((s - 1.0) * (s + 1.0))
+        diag = np.concatenate(([-alpha / (alpha + 2.0)], -alpha * alpha / (s * (s + 2.0))))
+        buf = np.zeros((n, n))  # the Jacobi matrix (lower half), then work space
+        flat = buf.ravel()
+        flat[:: n + 1] = diag
+        flat[n :: n + 1] = np.sqrt(off2)
+        try:
+            u = np.linalg.eigvalsh(buf)
+        except np.linalg.LinAlgError:  # the matrix overflowed: refused below
+            u = np.full(n, np.nan)
 
-    # pi_{k+1} = (u - diag_k) pi_k - off2_k pi_{k-1}; with lam_1 = 1 and
-    # lam_{k+1} = off2_k / lam_k, y_k = pi_k / (lam_k pi_{k-1}) has unit off2_k
-    lam = [1.0]
-    for b2 in off2.tolist():
-        lam.append(b2 / lam[-1])
-    inv = 1.0 / np.array(lam[1:])
-    e = np.multiply.outer(inv, u, out=buf[1:])
-    e -= (diag[1:] * inv)[:, None]
-    y = u - diag[0]
-    with np.errstate(divide="ignore"):  # y = 0 passes through 1/y = inf exactly
-        for row in e:
+        # pi_{k+1} = (u - diag_k) pi_k - off2_k pi_{k-1}; with lam_1 = 1 and
+        # lam_{k+1} = off2_k / lam_k, y_k = pi_k / (lam_k pi_{k-1}) has unit off2_k
+        lam = [1.0]
+        for b2 in off2:  # numpy scalars: an off2 that underflowed gives inf, refused below
+            lam.append(b2 / lam[-1])
+        inv = 1.0 / np.array(lam[1:])
+        e = np.multiply.outer(inv, u, out=buf[1:])
+        e -= (diag[1:] * inv)[:, None]
+        y = u - diag[0]
+        for row in e:  # y = 0 passes through 1/y = inf exactly
             np.reciprocal(y, out=y)
             np.subtract(row, y, out=y)
-    m = 2.0 * n + alpha
-    ratio = m * (m - 1.0) / (2.0 * n * (n + alpha)) * lam[-1] * y  # P_n / P_{n-1}
-    u -= m * (1.0 - u) * (1.0 + u) * ratio / (n * (alpha - m * u) * ratio + 2.0 * n * (n + alpha))
+        m = 2.0 * n + alpha
+        ratio = m * (m - 1.0) / (2.0 * n * (n + alpha)) * lam[-1] * y  # P_n / P_{n-1}
+        u -= m * (1.0 - u) * (1.0 + u) * ratio / (n * (alpha - m * u) * ratio + 2.0 * n * (n + alpha))
 
-    d = np.subtract.outer(u, u, out=buf)
-    np.fill_diagonal(d, 1.0)
-    width = n
-    for _ in range(3):  # products of up to 8 differences: one log per 8
-        half = width // 2
-        np.multiply(d[:, :half], d[:, width - half : width], out=d[:, :half])
-        width -= half
-    log_w = -np.log((1.0 - u) * (1.0 + u)) - 2.0 * np.log(np.abs(d[:, :width])).sum(axis=1)
-    w = np.exp(log_w - log_w.max())
-    return u, w / w.sum()
+        d = np.subtract.outer(u, u, out=buf)
+        np.fill_diagonal(d, 1.0)
+        width = n
+        for _ in range(3):  # products of up to 8 differences: one log per 8
+            half = width // 2
+            np.multiply(d[:, :half], d[:, width - half : width], out=d[:, :half])
+            width -= half
+        log_w = -np.log((1.0 - u) * (1.0 + u)) - 2.0 * np.log(np.abs(d[:, :width])).sum(axis=1)
+        w = np.exp(log_w - log_w.max())
+        w /= w.sum()
+    if not (-1.0 < u[0] and u[-1] < 1.0 and np.all(np.diff(u) > 0) and np.all(np.isfinite(w) & (w > 0))):
+        raise DomainError(
+            f"no radial rule of order {n} at alpha = {alpha!r}: its nodes or weights "
+            "degenerate in floating point"
+        )
+    return u, w
 
 
 def build_rule(alpha: float, radial_order: int, angular_order: int) -> DiskRule:
@@ -195,11 +207,13 @@ def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None
 
     ``f`` is called once, on the (radial, angular) node grid, and must accept
     ndarray input.  Equivalent to calling :func:`extract_coefficient` per
-    index, but exploits the tensor structure of the rule: one angular Fourier
-    sum per frequency d = m - n, then, per frequency, one radial Gauss
-    reduction for all its entries against Jacobi rows computed for every
-    |d| in a single recurrence, each |d| only up to the degree it reads, and
-    scaled by r^|d| and the radial weights once.
+    index, but exploits the tensor structure of the rule: one FFT over the
+    angular nodes gives every Fourier sum (frequency d = m - n in bin
+    d mod K), r^|d| and the radial weights scale the columns of +-|d|, and
+    one batched product against Jacobi rows computed for every |d| in a
+    single recurrence, each |d| only up to the degree it reads, gives every
+    radial Gauss sum.  The sums round differently from the per-entry ones,
+    within a few eps times h_{m,n} sum_i |w_i f(z_i)|.
 
     The capacity check guarantees exactness for polynomial f up to the table
     degrees; for non-polynomial f the rule must also resolve f's own spectrum
@@ -215,32 +229,29 @@ def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None
     _check_capacity(rule, m_max, n_max)
 
     vals = _values_on(f, rule.grid())                      # (R, K)
-    # phases for d >= 0; the row of -d is the conjugate of the row of d
+    # sum_k f(r, theta_k) e^{-i d theta_k} / K is FFT bin d mod K; the capacity
+    # check makes K > 2 max(m_max, n_max), so the bins of +-|d| are distinct
+    K = rule.angular_order
+    fourier = np.fft.fft(vals, axis=1)
     high, kmax = max(m_max, n_max), min(m_max, n_max)
-    pos = np.exp(-1j * np.outer(np.arange(high + 1), rule.angular_nodes)) / rule.angular_order
-    phases = np.concatenate([pos[n_max:0:-1].conj(), pos[: m_max + 1]])  # rows d = -n_max..m_max
-    fourier = vals @ phases.T                              # (R, n_d): sum_k f e^{-i d theta} / K
+    betas = np.arange(high + 1)
+    scale = rule.radial_nodes ** betas[:, None] * (rule.radial_weights / K)
+    pos = fourier[:, betas].T * scale                      # (|d|, R): d = +b
+    neg = fourier[:, -betas % K].T * scale                 # (|d|, R): d = -b
+    stack = np.stack([pos.real, pos.imag, neg.real, neg.imag], axis=-1)
 
     # frequency d reads rows k < k_d only, so |d| needs degrees up to
     # min(high - |d|, kmax)
     t = np.clip(2.0 * rule.radial_nodes**2 - 1.0, -1.0, 1.0)
-    betas = np.arange(high + 1)
     jac = jacobi_R_all(kmax, alpha, betas, t, np.minimum(high - betas, kmax))  # (k, |d|, R)
-    # r^b with a scalar exponent per b: numpy rounds some powers differently
-    # when the exponent is an array
-    jac *= np.array([rule.radial_nodes**b for b in range(high + 1)])
-    jac *= rule.radial_weights
-
-    # radial Gauss sums: one reduction per frequency d over its k = min(m, n);
-    # acc[d + n_max, k] holds the sum for every (m, n) with m - n = d
-    acc = np.zeros((m_max + n_max + 1, kmax + 1), dtype=complex)
-    for d in range(-n_max, m_max + 1):
-        k_d = min(m_max - max(d, 0), n_max + min(d, 0)) + 1
-        acc[d + n_max, :k_d] = (jac[:k_d, abs(d)] * fourier[:, d + n_max]).sum(axis=-1)
+    # every radial Gauss sum in one batched product against the real stack
+    sums = np.matmul(jac.transpose(1, 0, 2), stack)        # (|d|, k, 4)
+    acc = np.stack([sums[..., 0] + 1j * sums[..., 1], sums[..., 2] + 1j * sums[..., 3]])
 
     m = np.arange(m_max + 1)[:, None]
     n = np.arange(n_max + 1)[None, :]
-    values = disc_norm_h_rows(m_max, n_max, alpha) * acc[m - n + n_max, np.minimum(m, n)]
+    # acc[sign of d, |d|, k] holds the sum of every (m, n) with m - n = d, min(m, n) = k
+    values = disc_norm_h_rows(m_max, n_max, alpha) * acc[(m < n).astype(int), np.abs(m - n), np.minimum(m, n)]
     entries = dict(zip(product(range(m_max + 1), range(n_max + 1)), values.ravel().tolist()))
     return CoefficientTable._of_clean(float(alpha), entries, "extracted")
 

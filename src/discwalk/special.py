@@ -67,8 +67,9 @@ def _step_coefficients(j, alpha: float, beta):
     return c1, c2, c3, c4
 
 
-def _jacobi_p_rows(kmax: int, alpha: float, beta, t: np.ndarray, top=None) -> np.ndarray:
-    """Unnormalized Jacobi polynomials P_j^(alpha,beta)(t), rows j = 0..kmax.
+def _jacobi_p_rows(kmax: int, alpha: float, beta, t: np.ndarray, top=None) -> tuple[np.ndarray, list[int]]:
+    """Unnormalized Jacobi polynomials P_j^(alpha,beta)(t), rows j = 0..kmax,
+    and the length of the live prefix of each row.
 
     ``beta`` is a scalar (result shape (kmax+1, len(t))) or a 1-d array
     (result shape (kmax+1, len(beta), len(t))); every beta runs through the
@@ -90,7 +91,7 @@ def _jacobi_p_rows(kmax: int, alpha: float, beta, t: np.ndarray, top=None) -> np
     # row (a scalar beta slices the t axis)
     live = [rows.shape[1]] * (kmax + 1)
     if top is not None:
-        live = [int(np.sum(top >= j)) for j in range(kmax + 1)]
+        live = np.sum(top >= np.arange(kmax + 1)[:, None], axis=1).tolist()
     rows[0] = 1.0
     if kmax >= 1:
         b = beta[: live[1]] if array_beta else beta
@@ -101,11 +102,19 @@ def _jacobi_p_rows(kmax: int, alpha: float, beta, t: np.ndarray, top=None) -> np
         coefs = [[ci[j - 2, : live[j]] for ci in c] for j in steps]
     else:
         coefs = [_step_coefficients(j, alpha, beta) for j in steps]
+    # ((c2 + c3 t) P_{j-1} - c4 P_{j-2}) / c1 in two work buffers: the same
+    # operations in the same order as the one-expression form, so bit-equal
+    u_buf, v_buf = np.empty(rows.shape[1:]), np.empty(rows.shape[1:])
     for j, (c1, c2, c3, c4) in zip(steps, coefs):
         n = live[j]
-        # one expression, so that no temporary outlives the step
-        rows[j, :n] = ((c2 + c3 * t) * rows[j - 1, :n] - c4 * rows[j - 2, :n]) / c1
-    return rows
+        u, v = u_buf[:n], v_buf[:n]
+        np.multiply(c3, t, out=u)
+        np.add(c2, u, out=u)
+        np.multiply(u, rows[j - 1, :n], out=u)
+        np.multiply(c4, rows[j - 2, :n], out=v)
+        np.subtract(u, v, out=u)
+        np.divide(u, c1, out=rows[j, :n])
+    return rows, live
 
 
 def jacobi_R_all(kmax: int, alpha: float, beta, t, top=None) -> np.ndarray:
@@ -130,12 +139,16 @@ def jacobi_R_all(kmax: int, alpha: float, beta, t, top=None) -> np.ndarray:
     if arr.size and not (high := float(np.max(np.abs(arr)))) <= 1.0 + BOUNDARY_EPS:
         raise DomainError(f"Jacobi argument outside [-1, 1]: {high!r}")
     arr = np.clip(arr, -1.0, 1.0)
-    rows = _jacobi_p_rows(kmax, alpha, beta, arr, top)
+    rows, live = _jacobi_p_rows(kmax, alpha, beta, arr, top)
     # P_j(1) = (alpha+1)_j / j!, accumulated incrementally
     norms = [1.0]
     for j in range(1, kmax + 1):
         norms.append(norms[-1] * ((alpha + j) / j))
-    rows[1:] /= np.reshape(norms[1:], (-1,) + (1,) * (rows.ndim - 1))
+    if top is None:
+        rows[1:] /= np.reshape(norms[1:], (-1,) + (1,) * (rows.ndim - 1))
+    else:  # only the live prefix: the rows above each beta's top are zero
+        for j in range(1, kmax + 1):
+            rows[j, : live[j]] /= norms[j]
     return rows
 
 

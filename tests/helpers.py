@@ -204,8 +204,9 @@ def jacobi_rows_loop(kmax: int, alpha: float, beta, t: np.ndarray) -> np.ndarray
 
 def expand_loop(f, alpha: float, m_max: int, n_max: int, rule=None) -> CoefficientTable:
     """Per-entry coefficient extraction: one Jacobi recurrence per |d| and one
-    Gauss sum and one ``disc_norm_h`` per (m, n).  This is the loop ``expand``
-    replaced; the vectorised version must reproduce it exactly."""
+    Gauss sum and one ``disc_norm_h`` per (m, n), with the angular sums as a
+    direct DFT.  This is the loop ``expand`` replaced; the FFT version must
+    reproduce it within rounding (tests/test_extraction_path.py)."""
     from discwalk import default_rule, disc_norm_h, jacobi_R_all
 
     if rule is None:

@@ -324,6 +324,23 @@ def test_written_tables_round_trip_through_reader(tmp_path, capsys):
     assert t2.entries == t.entries and t2.alpha == t.alpha
 
 
+def test_expand_at_q_1e16_exits_2_with_one_line(tmp_path):
+    # the radial nodes coincide in floating point; in a fresh process, so
+    # that any numpy warning would reach stderr
+    out = tmp_path / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "discwalk", "expand", "--builtin", "exponential", "--q", str(10**16),
+         "--mmax", "2", "--nmax", "2", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: no radial rule of order 12 at alpha = 9999999999999998.0: "
+        "its nodes or weights degenerate in floating point\n"
+    )
+    assert not out.exists()
+
+
 def test_module_entrypoint_subprocess(tmp_path):
     out = tmp_path / "t.json"
     proc = subprocess.run(

@@ -1,6 +1,9 @@
 """The radial Gauss-Jacobi rule: nodes and weights against a 30-digit oracle,
 the refusals of ``build_rule``, and the extraction accuracy the rule gives."""
 
+import math
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -82,3 +85,53 @@ def test_extraction_at_degree_64_is_within_1e_10_of_the_exact_table(spec_of, q):
     extracted = expand(lambda z: eval_family(spec, z), q - 2.0, 64, 64)
     assert table_max_diff(extracted, family_coefficients(spec, 64, 64)) <= 1e-10
 
+
+
+#: max |extract - exact| per cell with the direct-DFT angular sums that the FFT
+#: replaced; each cell must stay within twice its value, so that no later
+#: speed-up trades accuracy away silently
+_EXTRACT_ERROR = {
+    ("exponential", 2, 16): 2.12e-14,
+    ("exponential", 2, 32): 2.96e-14,
+    ("exponential", 2, 64): 7.74e-14,
+    ("exponential", 3, 16): 6.26e-14,
+    ("exponential", 3, 32): 5.31e-13,
+    ("exponential", 3, 64): 2.15e-12,
+    ("exponential", 4, 16): 3.89e-13,
+    ("exponential", 4, 32): 5.98e-12,
+    ("exponential", 4, 64): 3.47e-11,
+    ("aktas", 2, 16): 1.38e-14,
+    ("aktas", 2, 32): 1.91e-14,
+    ("aktas", 2, 64): 4.71e-14,
+    ("aktas", 3, 16): 4.78e-14,
+    ("aktas", 3, 32): 4.13e-13,
+    ("aktas", 3, 64): 1.58e-12,
+    ("aktas", 4, 16): 2.88e-13,
+    ("aktas", 4, 32): 4.67e-12,
+    ("aktas", 4, 64): 2.61e-11,
+}
+
+
+@pytest.mark.parametrize("family, q, D", list(_EXTRACT_ERROR))
+def test_extraction_error_stays_within_twice_its_pinned_value(family, q, D):
+    spec = Exponential(q=q) if family == "exponential" else Aktas(t=0.3, q=q)
+    extracted = expand(lambda z: eval_family(spec, z), q - 2.0, D, D)
+    assert table_max_diff(extracted, family_coefficients(spec, D, D)) <= 2.0 * _EXTRACT_ERROR[family, q, D]
+
+
+@pytest.mark.parametrize("alpha, order", [(1e16, 12), (1e20, 3), (1e160, 12), (1e300, 136), (math.inf, 2)])
+def test_rule_whose_nodes_coincide_is_refused_without_warnings(alpha, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            build_rule(alpha, order, 4)
+    assert str(info.value) == (
+        f"no radial rule of order {order} at alpha = {alpha!r}: "
+        "its nodes or weights degenerate in floating point"
+    )
+
+
+def test_rule_at_alpha_1e15_keeps_its_nodes_apart():
+    rule = build_rule(1e15, 12, 4)
+    assert np.all(np.diff(rule.radial_nodes) > 0) and rule.radial_nodes[0] > 0
+    assert np.all(rule.radial_weights > 0)
