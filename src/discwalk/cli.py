@@ -10,8 +10,9 @@ counterexample  reproduce the walk counterexamples and compare verdicts
 plot-data       CSV samples of a kernel on a Cartesian grid over [-1, 1]^2
 
 Exit codes: 0 success, 2 usage/domain error, 3 capacity error (quadrature
-rule or residue table budget), 4 counterexample verdict mismatch, 1 when
-stdout is closed before the output is written, with no message.  Verdicts
+rule, residue table, sphere sample, Gram matrix or plot grid budget),
+4 counterexample verdict mismatch, 1 when stdout is closed before the output
+is written, with no message.  Verdicts
 themselves are data and exit 0.
 All outputs are deterministic given flags and seed.
 """
@@ -36,11 +37,11 @@ from .families import (
 from .positivity import (
     COUNTEREXAMPLE_EXPECTED,
     IndexSet,
+    _eigenvalues,
     counterexample_sets,
     counterexample_table,
     difference_set,
     gram_matrix,
-    hermitian_eigenvalues,
     is_pd,
     sample_sphere,
     spd_verdict,
@@ -49,6 +50,8 @@ from .quadrature import build_rule, coefficient_sum, default_rule, expand, synth
 from .tables import CoefficientTable
 from .walks import descente_x, descente_z, descente_zbar, montee_z, montee_zbar
 
+#: largest grid**2 of plot-data (grid <= 1024): its rows are Python strings, 370 MB peak RSS there
+_GRID_BUDGET = 2**20
 _COMMANDS = ("expand", "walk", "check", "gram", "counterexample", "plot-data")
 _WALK_OPS = {
     "dz": descente_z,
@@ -198,8 +201,7 @@ def _cmd_check(args) -> int:
 def _cmd_gram(args) -> int:
     f, q = _function_from_args(args)
     pts = sample_sphere(q, args.points, args.seed)
-    g = gram_matrix(f, pts)
-    evals = hermitian_eigenvalues(g)
+    evals = _eigenvalues(gram_matrix(f, pts))  # gram_matrix checked G is Hermitian
     low = float(evals[0])
     print(f"min_eigenvalue {low!r}")
     print(f"max_eigenvalue {float(evals[-1])!r}")
@@ -245,6 +247,8 @@ def _cmd_counterexample(args) -> int:
 def _cmd_plot_data(args) -> int:
     if args.grid < 2:
         raise DomainError(f"--grid must be at least 2, got {args.grid}")
+    if args.grid**2 > _GRID_BUDGET:
+        raise CapacityError(f"--grid {args.grid} exceeds the budget of {_GRID_BUDGET} grid points")
     f, _q = _function_from_args(args, need_q=False)
     axis = np.linspace(-1.0, 1.0, args.grid)
     xs = np.repeat(axis, args.grid)

@@ -50,16 +50,28 @@ _SERIES_CAP = 400  # terms per point of Horn's H4 series
 _SERIES_BLOWUP = 1e120  # a term above it is a divergence
 
 
+#: largest q of sigma_2q: (q - 1)! is a finite float up to q = 171
+_SIGMA_Q_MAX = 171
+
+
 def sigma_2q(q: int) -> float:
     """Total surface measure of the unit sphere of C^q (= S^{2q-1} in R^{2q})."""
     if q < 1:
         raise DomainError(f"sphere parameter must be >= 1, got q = {q}")
+    if q > _SIGMA_Q_MAX:
+        raise DomainError(f"sphere measure sigma_2q needs q <= {_SIGMA_Q_MAX}, got q = {q}")
     return 2.0 * math.pi**q / math.factorial(q - 1)
 
 
 def _check_q(q: int) -> None:
     if q != int(q) or q < 2:
         raise DomainError(f"family requires an integer q >= 2, got {q!r}")
+    try:
+        float(q - 2)  # family_alpha
+    except OverflowError:
+        raise DomainError(
+            f"family requires q - 2 within the float range, got a {q.bit_length()}-bit q"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -81,6 +93,7 @@ class PoissonSzego:
 
     def __post_init__(self) -> None:
         _check_q(self.q)
+        sigma_2q(self.q)  # refuses a q whose sphere measure is not computed
         if not 0.0 <= self.r < 1.0:
             raise DomainError(f"radius must satisfy 0 <= r < 1, got r = {self.r}")
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,6 +313,12 @@ def is_spd(
 # empirical Gram validation
 
 
+#: largest count * q of a sphere sample (64 MB of complex coordinates)
+_SAMPLE_BUDGET = 2**22
+#: largest count**2 of a Gram matrix (count <= 2048; 64 MB per complex copy)
+_GRAM_BUDGET = 2**22
+
+
 @dataclass
 class SpherePointSet:
     q: int
@@ -326,12 +331,18 @@ def sample_sphere(q: int, count: int, seed: int = 42) -> SpherePointSet:
 
     Each point is a q-vector of iid standard complex Gaussians normalized to
     unit length.  The class of kernels on the 2-sphere (q = 1) is different
-    and excluded throughout, hence q >= 2.
+    and excluded throughout, hence q >= 2.  A sample over ``_SAMPLE_BUDGET``
+    coordinates (count * q) raises :class:`CapacityError` before anything is
+    allocated.
     """
     if q < 2:
         raise DomainError(f"sphere parameter must be >= 2, got q = {q}")
     if count < 1:
         raise DomainError(f"point count must be >= 1, got {count}")
+    if count * q > _SAMPLE_BUDGET:
+        raise CapacityError(
+            f"{count} points in C^{q} exceed the sample budget of {_SAMPLE_BUDGET} coordinates"
+        )
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, q)) + 1j * rng.standard_normal((count, q))
     pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)
@@ -343,31 +354,55 @@ def gram_matrix(f, pts: SpherePointSet) -> np.ndarray:
 
     ``f`` is called once, on the whole matrix of inner products, and must
     accept ndarray input.  Positive definite f satisfies
-    f(conj z) = conj(f(z)), which makes G Hermitian; a warning is emitted if
-    that fails beyond 1e-9.
+    f(conj z) = conj(f(z)), which makes G Hermitian; a deviation beyond 1e-9
+    is a :class:`DomainError`, so G can go to the eigensolver unchecked.  A
+    point set over ``_GRAM_BUDGET`` entries (count**2) raises
+    :class:`CapacityError` before anything is allocated.
     """
+    count = len(pts.points)
+    if count * count > _GRAM_BUDGET:
+        raise CapacityError(
+            f"{count} points exceed the Gram matrix budget of {_GRAM_BUDGET} entries"
+        )
     inner = pts.points @ pts.points.conj().T
     g = _values_on(f, inner)
-    dev = float(np.max(np.abs(g - g.conj().T)))
+    # |G - G^H|; a real G (imaginary part exactly zero) needs only its real part
+    diff = g - g.conj().T if g.imag.any() else g.real - g.real.T
+    dev = float(np.max(np.abs(diff)))
     if dev > 1e-9:
-        warnings.warn(
+        raise DomainError(
             f"Gram matrix deviates from Hermitian by {dev:.3e}; "
-            "the kernel function violates f(conj z) = conj f(z)",
-            stacklevel=2,
+            "the kernel function violates f(conj z) = conj f(z)"
         )
     return g
 
 
+def _eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a complex Hermitian matrix, checked by the caller.
+
+    A matrix whose imaginary part is exactly zero goes to the real symmetric
+    solver, which does about a quarter of the complex one's work; its
+    eigenvalues agree to rounding.
+    """
+    try:
+        if not h.imag.any():
+            return np.linalg.eigvalsh(h.real)
+        return np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Hermitian eigensolve failed: {exc}") from exc
+
+
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix in ascending order, from one eigensolve."""
+    """Eigenvalues of a Hermitian matrix in ascending order, from one eigensolve.
+
+    The matrix must be Hermitian within 1e-9 (else :class:`DomainError`);
+    a real one goes to the real symmetric solver.
+    """
     h = np.asarray(h, dtype=complex)
     dev = float(np.max(np.abs(h - h.conj().T)))
     if dev > 1e-9:
         raise DomainError(f"matrix is not Hermitian within 1e-9 (deviation {dev:.3e})")
-    try:
-        return np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"Hermitian eigensolve failed: {exc}") from exc
+    return _eigenvalues(h)
 
 
 def min_eigenvalue(h: np.ndarray) -> float:

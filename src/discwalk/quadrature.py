@@ -259,8 +259,12 @@ def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None
 def synthesize(table: CoefficientTable, z):
     """Finite sum  sum a_{m,n} R_{m,n}^alpha(z)  of a coefficient table.
 
-    Accepts scalar or array z; entries are grouped by angular frequency so the
-    Jacobi recurrence runs once per frequency.
+    Accepts scalar or array z.  Entries are grouped by angular frequency
+    d = m - n, and d and -d share one Jacobi recurrence (beta = |d|) up to the
+    larger degree either reads: rows up to k do not depend on the top degree.
+    The radial sum of -d waits, one value per point, until its turn, so the
+    frequencies are added in table order, bit for bit as with one recurrence
+    per d.
     """
     scalar = np.ndim(z) == 0
     arr = ensure_in_disk(z)
@@ -272,14 +276,18 @@ def synthesize(table: CoefficientTable, z):
             by_freq.setdefault(m - n, []).append((min(m, n), v))
         flat = np.zeros(arr.size, dtype=complex)
         a_flat = arr.ravel()
-        for d, terms in by_freq.items():
-            kmax = max(k for k, _ in terms)
-            rows = jacobi_R_all(kmax, table.alpha, abs(d), t)
-            radial = np.zeros(arr.size, dtype=complex)
-            for k, v in terms:
-                radial += v * rows[k]
+        radials: dict[int, np.ndarray] = {}
+        for d in by_freq:
+            if d not in radials:
+                pair = {d, -d} & by_freq.keys()
+                kmax = max(k for e in pair for k, _ in by_freq[e])
+                rows = jacobi_R_all(kmax, table.alpha, abs(d), t)
+                for e in pair:
+                    radials[e] = radial = np.zeros(arr.size, dtype=complex)
+                    for k, v in by_freq[e]:
+                        radial += v * rows[k]
             ang = a_flat**d if d >= 0 else np.conj(a_flat) ** (-d)
-            flat += ang * radial
+            flat += ang * radials.pop(d)
         out = flat.reshape(arr.shape)
     return complex(out.ravel()[0]) if scalar else out
 

@@ -202,6 +202,28 @@ def jacobi_rows_loop(kmax: int, alpha: float, beta, t: np.ndarray) -> np.ndarray
     return rows
 
 
+def synthesize_loop(table: CoefficientTable, z: np.ndarray) -> np.ndarray:
+    """Table synthesis with one Jacobi recurrence per signed frequency d = m - n,
+    each up to the largest degree d itself reads, and the frequencies added in
+    table order.  This is the loop ``synthesize`` replaced when d and -d came
+    to share a recurrence; it must reproduce it exactly.  ``z`` is 1-d."""
+    from discwalk import jacobi_R_all
+
+    t = np.clip(2.0 * np.abs(z) ** 2 - 1.0, -1.0, 1.0)
+    by_freq: dict = {}
+    for (m, n), v in table.entries.items():
+        by_freq.setdefault(m - n, []).append((min(m, n), v))
+    flat = np.zeros(z.size, dtype=complex)
+    for d, terms in by_freq.items():
+        rows = jacobi_R_all(max(k for k, _ in terms), table.alpha, abs(d), t)
+        radial = np.zeros(z.size, dtype=complex)
+        for k, v in terms:
+            radial += v * rows[k]
+        ang = z**d if d >= 0 else np.conj(z) ** (-d)
+        flat += ang * radial
+    return flat
+
+
 def expand_loop(f, alpha: float, m_max: int, n_max: int, rule=None) -> CoefficientTable:
     """Per-entry coefficient extraction: one Jacobi recurrence per |d| and one
     Gauss sum and one ``disc_norm_h`` per (m, n), with the angular sums as a

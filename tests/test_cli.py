@@ -238,6 +238,44 @@ def test_gram_lauricella_near_its_t_radius_passes(capsys):
     assert rc == 0 and stdout.strip().splitlines()[-1] == "PASS"
 
 
+def _limited_cli(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process whose address space is capped at 4 GB, so a
+    missing budget ends in a MemoryError instead of filling the machine."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    return subprocess.run([sys.executable, "-m", "discwalk", *argv],
+                          capture_output=True, text=True, timeout=120, preexec_fn=cap)
+
+
+def test_gram_of_a_non_hermitian_table_exits_2_with_one_line(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"alpha": 1.0, "entries": [{"m": 0, "n": 0, "re": 1.0, "im": 0.5}]}))
+    proc = _limited_cli("gram", "--in", str(path), "--points", "5")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: Gram matrix deviates from Hermitian")
+
+
+@pytest.mark.parametrize("argv, code, says", [
+    (["gram", "--builtin", "exponential", "--q", "2", "--points", str(10**12)], 3, "sample budget"),
+    (["gram", "--builtin", "exponential", "--q", "2", "--points", "30000"], 3, "Gram matrix budget"),
+    (["gram", "--builtin", "exponential", "--q", str(10**15), "--points", "2"], 3, "sample budget"),
+    (["plot-data", "--builtin", "exponential", "--q", "2", "--grid", str(10**12), "--out", "OUT"], 3,
+     "budget of 1048576 grid points"),
+    (["gram", "--builtin", "poisson", "--q", "1000", "--param", "r=0.5", "--points", "2"], 2, "q <= 171"),
+    (["expand", "--builtin", "exponential", "--q", str(10**400), "--mmax", "2", "--nmax", "2", "--out", "OUT"],
+     2, "float range"),
+])
+def test_oversized_inputs_are_refused_with_one_line(argv, code, says, tmp_path):
+    proc = _limited_cli(*(str(tmp_path / "out") if a == "OUT" else a for a in argv))
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert len(proc.stderr.splitlines()) == 1 and says in proc.stderr, proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
 def test_gram_constant_kernel_rank_one(tmp_path, capsys):
     path = tmp_path / "c.json"
     CoefficientTable(alpha=0.0, entries={(0, 0): 1.0}).save(path)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from discwalk import (
     COUNTEREXAMPLE_EXPECTED,
+    CapacityError,
     CoefficientTable,
     DomainError,
     Exponential,
@@ -24,11 +25,14 @@ from discwalk import (
     descente_zbar,
     difference_pattern,
     difference_set,
+    eval_family,
     family_coefficients,
     gram_matrix,
+    hermitian_eigenvalues,
     intersects_progression,
     is_pd,
     is_spd,
+    make_family,
     min_eigenvalue,
     sample_sphere,
     spd_verdict,
@@ -326,8 +330,36 @@ def test_gram_identity_kernel_on_orthonormal_points():
 
 def test_gram_warns_on_conjugation_violation():
     pts = sample_sphere(2, 5, seed=3)
-    with pytest.warns(UserWarning):
+    with pytest.raises(DomainError):
         gram_matrix(lambda z: 1j * z, pts)
+
+
+def test_gram_refuses_a_real_matrix_that_is_not_symmetric():
+    # real values, but f(conj z) = Re z - 2 Im z differs from f(z)
+    pts = sample_sphere(2, 5, seed=3)
+    with pytest.raises(DomainError, match="deviates from Hermitian"):
+        gram_matrix(lambda z: (z.real + 2.0 * z.imag).astype(complex), pts)
+
+
+@pytest.mark.parametrize("family", ["exponential", "poisson"])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_real_gram_spectrum_matches_the_complex_solver(family, q, monkeypatch):
+    spec = make_family(family, q, {"r": 0.5} if family == "poisson" else {})
+    eigvalsh, solved = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: solved.append(h.dtype) or eigvalsh(h))
+    for n in (40, 200):
+        g = gram_matrix(lambda z: eval_family(spec, z), sample_sphere(q, n, seed=q))
+        want = eigvalsh(g)
+        got = hermitian_eigenvalues(g)
+        assert np.max(np.abs(got - want)) <= 8 * n * np.finfo(float).eps * np.max(np.abs(want))
+    assert solved == [np.dtype(float)] * 2  # G's imaginary part is exactly zero
+
+
+def test_sample_and_gram_budgets_refuse_before_allocating():
+    with pytest.raises(CapacityError, match="sample budget"):
+        sample_sphere(10**15, 2)
+    with pytest.raises(CapacityError, match="Gram matrix budget"):
+        gram_matrix(lambda z: z, sample_sphere(2, 2049))
 
 
 def test_pd_tables_have_psd_gram_matrices():

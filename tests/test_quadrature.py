@@ -22,7 +22,13 @@ from discwalk import (
     integrate,
     synthesize,
 )
-from helpers import simpson_disk_integral, simpson_disk_monomial, uniform_disk_points
+from helpers import (
+    random_table,
+    simpson_disk_integral,
+    simpson_disk_monomial,
+    synthesize_loop,
+    uniform_disk_points,
+)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 2.5, -0.5])
@@ -166,6 +172,46 @@ def test_synthesize_array_and_grouping():
     for i, z in enumerate(pts):
         direct = sum(v * disc_poly(m, n, 1.0, z) for (m, n), v in table.entries.items())
         assert vec[i] == pytest.approx(direct, abs=1e-13)
+
+
+def _one_sign_table(rng, alpha):
+    # d = m - n >= 0 only, several degrees per frequency
+    return CoefficientTable(alpha=alpha, entries={
+        (m, n): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in range(7) for n in range(m + 1)
+    })
+
+
+def _sparse_table(alpha):
+    # rows with gaps: d = 3 reads degrees 0 and 5, d = -3 only degree 1
+    return CoefficientTable(alpha=alpha, entries={
+        (3, 0): 0.5, (8, 5): -0.25 + 0.1j, (1, 4): 0.7, (6, 6): 1.5, (0, 9): 0.3j, (2, 0): 1.0,
+    })
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.5])
+@pytest.mark.parametrize("shape", ["one sign", "both signs", "sparse"])
+def test_synthesize_is_bit_equal_to_one_recurrence_per_signed_frequency(alpha, shape):
+    rng = np.random.default_rng(int(alpha * 10) + 100)
+    if shape == "one sign":
+        table = _one_sign_table(rng, alpha)
+    elif shape == "both signs":
+        table = random_table(rng, alpha, 11, 60, lo=-1.0)
+    else:
+        table = _sparse_table(alpha)
+    z = uniform_disk_points(rng, 500)
+    assert np.array_equal(synthesize(table, z), synthesize_loop(table, z))
+
+
+def test_synthesize_runs_one_recurrence_per_distinct_abs_frequency(monkeypatch):
+    import discwalk.quadrature as quadrature
+
+    calls = []
+    jacobi = quadrature.jacobi_R_all
+    monkeypatch.setattr(quadrature, "jacobi_R_all", lambda k, a, b, t: calls.append((b, k)) or jacobi(k, a, b, t))
+    table = _sparse_table(1.0)
+    synthesize(table, uniform_disk_points(np.random.default_rng(1), 20))
+    # |d| = 3 (d = 3 up to degree 5, d = -3 up to 1), 0, 9 and 2
+    assert sorted(calls) == [(0, 6), (2, 0), (3, 5), (9, 0)]
 
 
 def test_expand_synthesize_round_trip_polynomial():
