@@ -15,13 +15,13 @@ expansions, used as ground-truth fixtures everywhere else:
 * ``lauricella``:  triple hypergeometric (F14-type) kernel, coefficients
                    (q-1)_n (b)_m t^m s^n/(m! n!) at key (m+n, n).
 
-Lauricella's F14 series sums to an elementary kernel (Euler's and Pfaff's
-transformations, the Jacobi generating function, the binomial series):
+Both hypergeometric kernels are evaluated in closed form.  Lauricella's F14
+series sums to an elementary kernel (Euler's and Pfaff's transformations, the
+Jacobi generating function, the binomial series):
 D^-1 ((1+s+D)/(1+s-2s|z|^2+D))^(q-2) (1 - 2tz/(1+s+D))^-b, D = sqrt((1+s)^2 - 4s|z|^2).
-Horn's H4 series is the one series evaluator: Euler's transformation makes it a
-single series, summed over all points at once.  Each point stops after three
-consecutive terms below 1e-17 of its partial sum, so its value is the one a
-single-point call computes bit for bit.
+Horn's H4 kernel at b = q - 1 is S^-1 ((v+S)/2)^(2-q), v = 1 - s - t conj(z),
+S^2 = v^2 + 4s(1 - |z|^2); for b < q - 1 it is a Beta mean of that form, which an
+exact Gauss rule sums, and for b > q - 1 a finite sum of its Taylor coefficients.
 Closed-form coefficient tables take their factorial and Pochhammer ratios in
 log space, so large tables underflow to zero instead of overflowing.  They
 are built from per-index arrays: each lgamma value and Exponential's inner
@@ -34,21 +34,17 @@ loop as its reference).
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import CapacityError, ConvergenceError, DomainError
 from .positivity import IndexSet, difference_set
-from .quadrature import DiskRule, expand
+from .quadrature import DiskRule, _gauss_jacobi, expand
 from .special import disc_norm_h, disc_norm_h_rows, ensure_in_disk, libm_each
 from .tables import CoefficientTable, read_index
-
-_SERIES_RTOL = 1e-17  # under half an ulp of a series sum of modulus 1 or more
-_SERIES_CAP = 400  # terms per point of Horn's H4 series
-_SERIES_BLOWUP = 1e120  # a term above it is a divergence
-
 
 #: largest q of sigma_2q: (q - 1)! is a finite float up to q = 171
 _SIGMA_Q_MAX = 171
@@ -123,28 +119,15 @@ class Horn:
     s: float
     b: int
     q: int
-    # convergence radii of the double series, constrained by 4 rx = (ry - 1)^2;
-    # (1, 3) is the smallest positive-integer solution
-    rx: float = 1.0
-    ry: float = 3.0
 
     def __post_init__(self) -> None:
         _check_q(self.q)
         if self.b < 1 or self.b != int(self.b):
             raise DomainError(f"parameter b must be a positive integer, got {self.b!r}")
-        if not (self.t > 0 and self.s > 0):
-            raise DomainError(f"parameters must be positive, got t = {self.t}, s = {self.s}")
-        if abs(4.0 * self.rx - (self.ry - 1.0) ** 2) > 1e-12:
-            raise DomainError(f"radii must satisfy 4 rx = (ry - 1)^2, got ({self.rx}, {self.ry})")
-        if not abs(self.s) < 1.0:
-            raise DomainError(f"parameter must satisfy |s| < 1, got s = {self.s}")
-        if not abs(self.s) / (1.0 - self.s) ** 2 < self.rx:
+        # every coefficient is positive and they sum to (1-s)^(1-q) (1 - t/(1-s))^-b
+        if not (0.0 < self.s < 1.0 and 0.0 < self.t < 1.0 - self.s):
             raise DomainError(
-                f"|s|/(1-s)^2 = {abs(self.s) / (1.0 - self.s) ** 2} exceeds radius {self.rx}"
-            )
-        if not abs(self.t) / (1.0 - self.s) < self.ry:
-            raise DomainError(
-                f"|t|/(1-s) = {abs(self.t) / (1.0 - self.s)} exceeds radius {self.ry}"
+                f"parameters must satisfy 0 < s < 1 and 0 < t < 1 - s, got t = {self.t}, s = {self.s}"
             )
 
 
@@ -154,21 +137,16 @@ class Lauricella:
     s: float
     b: int
     q: int
-    r2: float = 0.5  # convergence radius for the t-slot; r1 = r2 (1 - r2)
 
     def __post_init__(self) -> None:
         _check_q(self.q)
         if self.b < 1 or self.b != int(self.b):
             raise DomainError(f"parameter b must be a positive integer, got {self.b!r}")
-        if not (self.t > 0 and self.s > 0):
-            raise DomainError(f"parameters must be positive, got t = {self.t}, s = {self.s}")
-        if not 0.0 < self.r2 < 1.0:
-            raise DomainError(f"radius must satisfy 0 < r2 < 1, got {self.r2}")
-        r1 = self.r2 * (1.0 - self.r2)
-        if not abs(self.s) < r1:
-            raise DomainError(f"parameter must satisfy |s| < r1 = {r1}, got s = {self.s}")
-        if not abs(self.t) < self.r2:
-            raise DomainError(f"parameter must satisfy |t| < r2 = {self.r2}, got t = {self.t}")
+        # every coefficient is positive and they sum to (1-s)^(1-q) (1-t)^-b
+        if not (0.0 < self.s < 1.0 and 0.0 < self.t < 1.0):
+            raise DomainError(
+                f"parameters must satisfy 0 < s < 1 and 0 < t < 1, got t = {self.t}, s = {self.s}"
+            )
 
 
 FamilySpec = ProductKernel | PoissonSzego | Exponential | Aktas | Horn | Lauricella
@@ -196,15 +174,14 @@ def _read_param(name: str, key: str, read, value):
 
 
 def make_family(name: str, q: int, params: dict | None = None) -> FamilySpec:
-    """Family ``name``; ``q``, the fields without a default and every given field
-    are read as their declared type."""
+    """Family ``name``; ``q`` and every field are read as their declared type."""
     cls = _FAMILIES.get(name)
     if cls is None:
         raise DomainError(f"unknown family {name!r}")
     params = dict(params or {})
     try:
         for f in fields(cls):
-            if f.name != "q" and (f.default is MISSING or f.name in params):
+            if f.name != "q":
                 read = read_index if f.type == "int" else float
                 params[f.name] = _read_param(name, f.name, read, params.pop(f.name))
         return cls(q=_read_param(name, "q", read_index, q), **params)
@@ -235,67 +212,83 @@ def family_from_dict(doc: dict) -> FamilySpec:
 # closed-form evaluation
 
 
-def _sum_series(total, state, advance, what: str):
-    """Per-point sums total + term_1 + term_2 + ..., where ``advance(k, state)``
-    returns term_k and the next state, both over the points still running.
-
-    A point stops after its third consecutive term with |term| <= _SERIES_RTOL
-    max(1, |partial sum|); its entries then leave ``total`` and every state array.
-    """
-    out = np.empty(total.size, dtype=complex)
-    pos = np.arange(total.size)  # points whose series is still running
-    quiet = np.zeros(total.size, dtype=int)
-    for k in range(1, _SERIES_CAP + 1):
-        term, state = advance(k, state)
-        total = total + term
-        mag = np.abs(term)
-        if np.any(mag > _SERIES_BLOWUP):
-            raise ConvergenceError(f"{what} terms diverge; parameters outside domain")
-        quiet = np.where(mag <= _SERIES_RTOL * np.maximum(1.0, np.abs(total)), quiet + 1, 0)
-        done = quiet >= 3
-        if done.all():
-            out[pos] = total
-            return out
-        if done.any():
-            out[pos[done]] = total[done]
-            live = ~done
-            pos, total, quiet = pos[live], total[live], quiet[live]
-            state = [a[live] for a in state]
-    raise ConvergenceError(f"{what} failed to converge within the term cap")
-
-
 def _flat_broadcast(*args):
     """Broadcast arguments to flat float or complex arrays; also the output shape."""
     arrs = np.broadcast_arrays(*(np.asarray(a, dtype=np.result_type(a, float)) for a in args))
     return [a.ravel() for a in arrs], arrs[0].shape
 
 
-def _horn_h4(a: float, b: float, x, y):
-    """H4-type double series sum_{m,n} (a)_{2m+n} (b)_n / ((a)_m (a)_n) x^m y^n / (m! n!),
-    summed as a single series in m.
+#: most Gauss nodes or Taylor terms of one Horn evaluation
+_HORN_BUDGET = 1024
 
-    Row m is (a)_{2m}/((a)_m m!) x^m 2F1(a+2m, b; a; y), which is, by Euler's
-    transformation (DLMF 15.8.1), (1 - y)^-(2m+b) times the polynomial
-    P_{2m}(y), P_n = 2F1(-n, a-b; a; y); P advances by the contiguous relation
-    (DLMF 15.5.11) (a+n) P_{n+1} = (2n + a - (a-b+n) y) P_n - n (1-y) P_{n-1}.
-    |y| must be below 1.  ``x`` and ``y`` are scalars or arrays (broadcast
-    together); each point stops on its own.  Scalar arguments give a complex.
+
+@lru_cache(maxsize=32)
+def _beta_rule(a: int, b: int) -> tuple[tuple, tuple]:
+    """Gauss rule for the Beta(b, a-b) law on [0, 1], exact up to degree a - 2: the larger
+    exponent is the Jacobi weight, the smaller one (d) is folded into the weights."""
+    p1, p2 = b - 1, a - b - 1
+    d = min(p1, p2)
+    u, w = _gauss_jacobi((a + d) // 2, float(max(p1, p2)))  # 2n - 1 >= (a - 2) + d
+    near = (1.0 + u) / 2.0  # the variable whose exponent is d
+    nodes = near if p1 <= p2 else 1.0 - near
+    return tuple(nodes.tolist()), tuple((math.comb(a - 1, d) * w * near**d).tolist())
+
+
+def _horn_h4(a: float, b: float, x, y, c: float = 1.0):
+    """c^-a H4(x/c^2, y/c) of the H4-type double series, in closed form:
+    H4(x, y) = sum_{m,n} (a)_{2m+n} (b)_n / ((a)_m (a)_n) x^m y^n / (m! n!).
+
+    At b = a the n-sum is (1 - y)^-(a+2m) and the m-sum 2F1(a/2, (a+1)/2; a; 4x/(1-y)^2)
+    (DLMF 15.4.18): F(w) = S^-1 nu^(1-a) at w = y, with v = c - w, S = sqrt(v^2 - 4x),
+    nu = (v + S)/2; principal branches are right while Re v > 0 and x <= 0.
+    * b < a, integers: (b)_n/(a)_n is a Beta(b, a-b) moment (DLMF 5.12.1), so H4 is the mean
+      of F(y tau).  With zeta = 1/nu, F dw = zeta^(a-2) dzeta, and on the segment from zeta0
+      (tau = 0) to zeta1 (tau = 1) the mean is delta E[A^(b-1) B^(a-b-1)], delta =
+      (zeta1 - zeta0)/y, A and B linear in the Beta variable: ``_beta_rule`` sums it exactly.
+    * b - a = k >= 0 an integer: (b)_n/(a)_n = sum_j C(k, j) j!/(a)_j C(n, j), so H4 =
+      sum_j C(k, j) j!/(a)_j y^j F_j, F_j the Taylor coefficients of F at y, which follow a
+      three-term recurrence from (v^2 - 4x) F'' - 3v F' + a(2-a) F = 0.
+    Every step is homogeneous in (c, c^2 x, c y), so no power of c is formed.  Arguments are
+    scalars or arrays (broadcast together; a scalar call gives a complex); each point is
+    computed on its own, so an array call returns bit for bit what one-point calls return.
     """
+    terms = (a + min(b, a - b) - 1) // 2 if b < a else b - a + 1
+    if terms > _HORN_BUDGET:
+        raise CapacityError(
+            f"Horn's closed form at q = {a + 1:g}, b = {b:g} needs {terms:g} terms, "
+            f"over the budget of {_HORN_BUDGET}"
+        )
     (x, y), shape = _flat_broadcast(x, y)
-    if not np.all(np.abs(y) < 1.0):
-        raise ConvergenceError("the H4 n-series needs |y| < 1")
-    w = 1.0 - y
-
-    def advance(m, state):
-        # head: (a)_{2m}/((a)_m m!) u^m with u = x/(1-y)^2; p_prev, p: P_{2m-1}, P_{2m}
-        u, y, w, head, p_prev, p = state
-        head = head * ((a + 2 * m - 2) * (a + 2 * m - 1) / ((a + m - 1) * m) * u)
-        for n in (2 * m - 2, 2 * m - 1):
-            p_prev, p = p, ((2 * n + a - (a - b + n) * y) * p - n * w * p_prev) / (a + n)
-        return head * p, [u, y, w, head, p_prev, p]
-
-    ones = np.ones(x.size, dtype=complex)
-    out = _sum_series(ones, [x / (w * w), y, w, ones, ones, ones], advance, "H4 series") / w**b
+    v = c - y
+    s2 = v * v - 4.0 * x
+    s1 = np.sqrt(s2)
+    nu1 = (v + s1) * 0.5
+    if b < a:
+        nodes, weights = _beta_rule(int(a), int(b))
+        s0 = np.sqrt(c * c - 4.0 * x)
+        nu0 = (c + s0) * 0.5
+        z0, z1 = 1.0 / nu0, 1.0 / nu1
+        # nu0 - nu1 = y (1 + (2c - y)/(s0 + s1))/2, free of cancellation at small y
+        delta = (1.0 + (2.0 * c - y) / (s0 + s1)) / (2.0 * nu0 * nu1)
+        out = 0.0
+        for node, w in zip(nodes, weights):  # no BLAS product: a point rounds alike in any array
+            zeta = z0 + node * (z1 - z0)
+            A = delta * (c - x * (zeta + z0))
+            B = delta * (v - x * (zeta + z1))
+            out = out + w * (A ** (b - 1.0) * B ** (a - b - 1.0))
+        out = delta * out
+    else:
+        k = round(b - a)
+        out = nu1 ** (1.0 - a) / s1
+        if k:
+            r1, r2 = y * v / s2, y * y / s2
+            e_prev, e = out, out * y * (v + (a - 1.0) * s1) / s2  # y^j F_j, j = 0, 1
+            coef = k / a  # C(k, j) j!/(a)_j
+            out = out + coef * e
+            for n in range(k - 1):
+                e_prev, e = e, ((2 * n + 3) * r1 * e - (n + a) * (n + 2 - a) / (n + 1) * r2 * e_prev) / (n + 2)
+                coef *= (k - n - 1) / (a + n + 1)
+                out = out + coef * e
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 
@@ -355,12 +348,9 @@ def eval_family(spec: FamilySpec, z):
         big = np.sqrt(1.0 - 2.0 * (2.0 * np.abs(arr) ** 2 - 1.0) * t + t * t)
         out = (1.0 / big) * (2.0 / (1.0 - t + big)) ** (q - 2) * np.exp(2.0 * t * arr / (1.0 + t + big))
     elif isinstance(spec, Horn):
-        xs = spec.s * (np.abs(arr) ** 2 - 1.0) / (1.0 - spec.s) ** 2
-        # t/(1-s) first: numpy divides a complex array by a real through the
-        # reciprocal, an extra rounding that 1 - y magnifies near |y| = 1
-        ys = spec.t / (1.0 - spec.s) * np.conj(arr)
-        # a numpy product also for a scalar z, so that it rounds as a point of an array does
-        out = np.multiply(_horn_h4(q - 1.0, float(spec.b), xs, ys), (1.0 - spec.s) ** (1 - q))
+        # (1-s)^(1-q) H4(s(|z|^2-1)/(1-s)^2, t conj(z)/(1-s)), taken homogeneous in c = 1 - s
+        xs, ys = spec.s * (np.abs(arr) ** 2 - 1.0), spec.t * np.conj(arr)
+        out = _horn_h4(q - 1.0, float(spec.b), xs, ys, 1.0 - spec.s)
     elif isinstance(spec, Lauricella):
         r2 = np.abs(arr) ** 2
         out = _lauricella_f14(q - 1.0, float(spec.b), spec.s * (r2 - 1.0), spec.t * arr, spec.s * r2)

@@ -468,12 +468,17 @@ def counterexample_sets(case: str) -> dict[str, IndexSet]:
     }
 
 
+#: largest truncation of a counterexample table (its indices run up to it)
+_TRUNCATION_BUDGET = 2**16
+
+
 def counterexample_table(case: str, q: int, truncation: int) -> tuple[CoefficientTable, IndexSet]:
     """Truncated coefficient table of a counterexample case plus the exact
     (untruncated) symbolic difference set.
 
     The magnitudes 2^-(m+n) are a summability choice; only the support pattern
-    carries the phenomenon.
+    carries the phenomenon.  A truncation over ``_TRUNCATION_BUDGET`` raises
+    ``CapacityError`` before any index is listed.
     """
     if case not in _AXES:
         raise DomainError(f"unknown counterexample case {case!r}; expected i, ii or iii")
@@ -481,6 +486,8 @@ def counterexample_table(case: str, q: int, truncation: int) -> tuple[Coefficien
         raise DomainError(f"sphere parameter must be an integer >= 2, got q = {q}")
     if truncation < 0:
         raise DomainError(f"truncation must be nonnegative, got {truncation}")
+    if truncation > _TRUNCATION_BUDGET:
+        raise CapacityError(f"truncation {truncation} exceeds the counterexample budget of {_TRUNCATION_BUDGET}")
     m_axis, n_axis = _AXES[case]
     entries: dict[tuple[int, int], complex] = {}
     for m in m_axis.elements_within(truncation):

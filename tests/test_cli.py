@@ -232,9 +232,18 @@ def test_gram_pd_table_passes(tmp_path, capsys):
 
 
 def test_gram_lauricella_near_its_t_radius_passes(capsys):
-    # t = 0.83 puts |u| = 0.83 on the gram's diagonal (z = 1): the n-series runs past 200 terms
+    # t = 0.83 puts the factor (1 - 2tz/(1+s+D))^-b near its pole on the gram's diagonal (z = 1)
     lauricella = ["--builtin", "lauricella", "--q", "2", "--param", "t=0.83", "--param", "s=0.05"]
-    rc, stdout, _ = run(capsys, "gram", *lauricella, "--param", "b=1", "--param", "r2=0.9", "--points", "16")
+    rc, stdout, _ = run(capsys, "gram", *lauricella, "--param", "b=1", "--points", "16")
+    assert rc == 0 and stdout.strip().splitlines()[-1] == "PASS"
+
+
+@pytest.mark.parametrize("params", [["t=0.5", "s=0.3", "b=2"], ["t=0.6", "s=0.39", "b=1"], ["t=0.05", "s=0.9", "b=3"]])
+@pytest.mark.parametrize("q", ["2", "4"])
+def test_gram_horn_beyond_the_old_series_region_passes(params, q, capsys):
+    # each spec raised ConvergenceError (or was refused) while Horn was summed as a series
+    argv = ["gram", "--builtin", "horn", "--q", q, "--points", "16"]
+    rc, stdout, _ = run(capsys, *argv, *(a for p in params for a in ("--param", p)))
     assert rc == 0 and stdout.strip().splitlines()[-1] == "PASS"
 
 
@@ -268,6 +277,12 @@ def test_gram_of_a_non_hermitian_table_exits_2_with_one_line(tmp_path):
     (["gram", "--builtin", "poisson", "--q", "1000", "--param", "r=0.5", "--points", "2"], 2, "q <= 171"),
     (["expand", "--builtin", "exponential", "--q", str(10**400), "--mmax", "2", "--nmax", "2", "--out", "OUT"],
      2, "float range"),
+    (["counterexample", "--case", "iii", "--q", "2", "--truncation", str(10**12)], 3,
+     "counterexample budget of 65536"),
+    (["gram", "--builtin", "horn", "--q", "2", "--param", "t=1.5", "--param", "s=0.1", "--param", "b=1",
+      "--points", "2"], 2, "0 < t < 1 - s"),
+    (["gram", "--builtin", "horn", "--q", "2", "--param", "t=0.1", "--param", "s=0.1", "--param", "b=5000",
+      "--points", "2"], 3, "over the budget of 1024"),
 ])
 def test_oversized_inputs_are_refused_with_one_line(argv, code, says, tmp_path):
     proc = _limited_cli(*(str(tmp_path / "out") if a == "OUT" else a for a in argv))

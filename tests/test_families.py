@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discwalk import (
     Aktas,
@@ -69,13 +71,33 @@ def test_parameter_domain_validation():
     with pytest.raises(DomainError):
         Horn(t=0.1, s=0.1, b=0, q=2)
     with pytest.raises(DomainError):
-        Horn(t=0.1, s=0.1, b=2, q=2, rx=1.0, ry=2.0)  # 4 rx != (ry-1)^2
-    with pytest.raises(DomainError):
         Horn(t=10.0, s=0.9999, b=2, q=2)
-    with pytest.raises(DomainError):
-        Lauricella(t=0.6, s=0.1, b=2, q=2)  # t >= r2
-    with pytest.raises(DomainError):
-        Lauricella(t=0.2, s=0.3, b=2, q=2)  # s >= r1 = 0.25
+
+
+@pytest.mark.parametrize("cls, t, s", [
+    (Horn, 0.9, 0.1),  # t = 1 - s: the coefficients sum to (1 - t/(1-s))^-b = inf
+    (Horn, 0.25, 0.75),
+    (Horn, 1e-3, 1.0),
+    (Horn, 0.1, 0.0),
+    (Horn, 0.0, 0.5),
+    (Horn, float("nan"), 0.1),
+    (Horn, 0.1, float("nan")),
+    (Lauricella, 1.0, 0.1),  # the coefficients sum to (1-s)^(1-q) (1-t)^-b
+    (Lauricella, 0.5, 1.0),
+    (Lauricella, 0.0, 0.5),
+    (Lauricella, float("nan"), 0.1),
+    (Lauricella, 0.1, float("nan")),
+], ids=repr)
+def test_constructors_refuse_the_domain_edges_with_one_line(cls, t, s):
+    with pytest.raises(DomainError, match="parameters must satisfy 0 < s < 1") as exc:
+        cls(t=t, s=s, b=2, q=2)
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("t, s", [(0.8999999999999999, 0.1), (0.999, 1e-4), (1e-3, 0.998), (0.4, 0.59)])
+def test_horn_accepts_points_just_inside_its_domain(t, s):
+    spec = Horn(t=t, s=s, b=1, q=3)
+    assert np.all(np.isfinite(eval_family(spec, np.array([0j, 1.0, -1.0, 1j, 0.5]))))
 
 
 def test_eval_special_points():
@@ -239,15 +261,6 @@ def test_horn_series_against_mpmath_hyper2d():
         assert mine == pytest.approx(ref, rel=1e-14)
 
 
-def test_series_evaluators_fail_fast_outside_envelope():
-    # term caps are sized for the family parameter ranges; marginal arguments
-    # must error rather than silently truncate
-    from discwalk import ConvergenceError
-
-    with pytest.raises(ConvergenceError):
-        _horn_h4(1.0, 2.0, 0.3 + 0j, 0.9 + 0j)
-
-
 def test_poisson_profile_closed_anchors():
     # For q = 2 the geometric expansion of |1-rz|^{-4} gives S_{0,0}(r) = 1 and
     # S_{1,0}(r) = r exactly, independent of r.
@@ -334,7 +347,7 @@ def test_family_json_round_trip_and_errors():
         Exponential(q=2),
         Aktas(t=0.4, q=2),
         Horn(t=0.1, s=0.1, b=2, q=2),
-        Lauricella(t=0.2, s=0.1, b=2, q=3, r2=0.5),
+        Lauricella(t=0.2, s=0.1, b=2, q=3),
     ]
     for spec in specs:
         doc = family_to_dict(spec)
@@ -403,8 +416,6 @@ def test_series_array_with_one_diverging_point_raises():
     from discwalk import ConvergenceError
 
     with pytest.raises(ConvergenceError):
-        _horn_h4(1.0, 2.0, np.array([0.1, 0.3]), np.array([0.1, 0.9]))
-    with pytest.raises(ConvergenceError):
         _lauricella_f14(1.0, 2.0, np.zeros(3), np.zeros(3), np.array([0.1, 2.0, 0.2]))
 
 
@@ -426,27 +437,53 @@ def test_horn_array_call_equals_point_calls_bit_for_bit(q):
 
 
 @pytest.mark.parametrize("z", [0j, 0.5 + 0j, 1 + 0j, -1 + 0j, 1j])
-def test_horn_near_its_convergence_edge_matches_the_oracle_or_raises(z):
-    # 2 sqrt|x| + |y| is 0.91 at z = 0 and 0.97 at z = 0.5, where the rows decay slowest
-    from discwalk import ConvergenceError
-
+def test_horn_near_the_series_edge_matches_the_oracle(z):
+    # 2 sqrt|x| + |y| is 0.91 at z = 0 and 0.97 at z = 0.5, where the oracle's rows decay slowest
     spec = Horn(t=0.3, s=0.15, b=3, q=2)
-    try:
-        got = eval_family(spec, z)
-    except ConvergenceError:
-        return
+    got = eval_family(spec, z)
     x = spec.s * (abs(z) ** 2 - 1.0) / (1.0 - spec.s) ** 2
     want = horn_h4_oracle(1.0, 3.0, x, spec.t * z.conjugate() / (1.0 - spec.s)) / (1.0 - spec.s)
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
-def test_horn_needs_y_inside_the_unit_disk():
-    from discwalk import ConvergenceError
+@pytest.mark.parametrize("q", [6, 8])
+@pytest.mark.parametrize("b", [1, 3, 5, 9])
+def test_horn_matches_the_oracle_at_larger_q_and_b(q, b):
+    # b < q - 1 is the exact Gauss rule, b >= q - 1 the Taylor sum
+    spec = Horn(t=0.3, s=0.15, b=b, q=q)
+    z = np.array([0.2 + 0j, 1 + 0j, 0.9 * np.exp(2.2j), -0.7j])
+    got = eval_family(spec, z)
+    xs = spec.s * (np.abs(z) ** 2 - 1.0) / (1.0 - spec.s) ** 2
+    ys = spec.t * np.conj(z) / (1.0 - spec.s)
+    for w, x, y in zip(got, xs, ys):
+        want = horn_h4_oracle(q - 1.0, b, x, y) * (1.0 - spec.s) ** (1 - q)
+        assert abs(w - want) <= 1e-14 * abs(want)
 
-    with np.errstate(all="raise"):  # no division by 1 - y = 0 before the refusal
-        for y in (1.0, -1.0, 1j, 1.5, float("nan")):
-            with pytest.raises(ConvergenceError):
-                _horn_h4(1.0, 2.0, np.array([-0.01, -0.01]), np.array([0.1, y]))
+
+@pytest.mark.parametrize("q", [2, 3, 7, 12])
+@pytest.mark.parametrize("b", [1, 2, 6, 11])
+@pytest.mark.parametrize("t, s", [(0.1, 0.1), (0.6, 0.39), (0.94, 0.05), (0.099, 0.9)])
+def test_horn_on_the_unit_circle_is_its_binomial_series(q, b, t, s):
+    # at |z| = 1, x = 0 and H4 is the binomial series (1 - y)^-b, also next to the edge t = 1 - s;
+    # these points have |z|^2 = 1 in floating point, so x is exactly 0
+    z = np.array([1, -1, 1j, -1j, 0.6 + 0.8j, -0.8 + 0.6j, -0.6 - 0.8j, 0.28 + 0.96j, (12 - 5j) / 13])
+    got = eval_family(Horn(t=t, s=s, b=b, q=q), z)
+    c, y = 1.0 - s, t * np.conj(z)
+    want = c ** (b - q + 1) * (c - y) ** -b
+    # for k = b - q + 1 > 0 the Taylor terms C(k, j) y^j (c - y)^(1-q-j) alternate where
+    # Re y < 0: the error is rounding of the sum of their moduli
+    k = b - q + 1
+    scale = np.abs(c - y) ** (1 - q) * (1.0 + np.abs(y / (c - y))) ** k if k > 0 else np.abs(want)
+    assert np.all(np.abs(got - want) <= 4e-15 * (q + b) * np.maximum(np.abs(want), scale))
+
+
+def test_horn_refuses_a_rule_or_a_sum_over_its_budget():
+    from discwalk import CapacityError
+
+    with pytest.raises(CapacityError, match="needs 1026 terms, over the budget of 1024"):
+        eval_family(Horn(t=0.1, s=0.1, b=1026, q=2), 0.5)
+    with pytest.raises(CapacityError, match="needs 1025 terms, over the budget of 1024"):
+        eval_family(Horn(t=0.1, s=0.1, b=1, q=2052), 0.5)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -459,7 +496,7 @@ def test_lauricella_array_call_equals_point_calls_bit_for_bit(q):
 
 
 def test_lauricella_matches_the_oracle_near_the_parameter_edge():
-    # t = 0.45 and s = 0.24 sit near r2 = 0.5 and r1 = 0.25, where the series decay slowest
+    # t = 0.45 and s = 0.24, where the oracle's series still converge, and slowly
     spec = Lauricella(t=0.45, s=0.24, b=3, q=4)
     z = uniform_disk_points(np.random.default_rng(11), 5)
     got = eval_family(spec, z)
@@ -470,9 +507,8 @@ def test_lauricella_matches_the_oracle_near_the_parameter_edge():
 
 @pytest.mark.parametrize("t, b", [(0.83, 1), (0.8, 3)])
 def test_lauricella_near_its_t_radius_matches_the_oracle(t, b):
-    # |u| = t at |z| = 1 (x1 = 0), where the n-series decays slowest: it is quiet
-    # at 1e-17 only after more than 200 terms
-    spec = Lauricella(t=t, s=0.05, b=b, q=2, r2=0.9)
+    # |u| = t at |z| = 1 (x1 = 0), where the oracle's n-series decays slowest
+    spec = Lauricella(t=t, s=0.05, b=b, q=2)
     angles = np.linspace(0.0, 2.0 * np.pi, 130, endpoint=False)
     z = np.concatenate([np.exp(1j * angles), 0.999 * np.exp(1j * (angles + 0.01))])  # more than one chunk
     got = eval_family(spec, z)
@@ -540,13 +576,41 @@ def test_lauricella_extraction_matches_the_exact_table(q, D):
 @pytest.mark.parametrize("q", [6, 8])
 @pytest.mark.parametrize("b", [1, 5])
 def test_lauricella_matches_the_oracle_at_larger_q_and_b(q, b):
-    # t = 0.45 and s = 0.24 sit near r2 = 0.5 and r1 = 0.25
+    # t = 0.45 and s = 0.24, where the oracle's series still converge
     spec = Lauricella(t=0.45, s=0.24, b=b, q=q)
     z = np.array([0j, 1 + 0j, 0.9 * np.exp(2.2j)])
     got = eval_family(spec, z)
     r2 = np.abs(z) ** 2
     for w, x1, x2, x3 in zip(got, spec.s * (r2 - 1.0), spec.t * z, spec.s * r2):
         assert abs(w - lauricella_f14_oracle(q - 1.0, b, x1, x2, x3)) <= 1e-14 * abs(w)
+
+
+# --------------------------------------------------------------------------
+# the whole parameter domain of the hypergeometric kernels
+
+_DISK_GRID = np.outer([0.0, 0.5, 0.9, 0.99, 1.0], np.exp(2j * np.pi * np.arange(7) / 7)).ravel()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from([Horn, Lauricella]),
+    s=st.floats(0.005, 0.995),
+    share=st.floats(0.005, 0.995),
+    b=st.integers(1, 5),
+    q=st.integers(2, 5),
+)
+def test_every_accepted_spec_matches_its_exact_table_within_the_tail(family, s, share, b, q):
+    # t = share (1 - s) covers Horn's 0 < t < 1 - s, t = share Lauricella's 0 < t < 1.
+    # Every coefficient is positive and |R_{m,n}| <= 1 on the disk, so a truncated
+    # table is within its tail f(1) - (table sum) of the kernel everywhere.
+    t = share * (1.0 - s) if family is Horn else share
+    spec = family(t=t, s=s, b=b, q=q)
+    f1 = (1.0 - s) ** (1 - q) * (1.0 - (t / (1.0 - s) if family is Horn else t)) ** -b
+    got = eval_family(spec, _DISK_GRID)
+    table = family_coefficients(spec, 60, 60)
+    tail = f1 - coefficient_sum(table, tol=0.0)
+    assert tail >= -1e-12 * f1
+    assert np.all(np.abs(got - synthesize(table, _DISK_GRID)) <= tail + 1e-12 * f1)
 
 
 # --------------------------------------------------------------------------

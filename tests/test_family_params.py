@@ -60,20 +60,25 @@ def test_make_family_refuses_parameters_it_cannot_read_exactly(name, params, key
     assert "\n" not in str(exc.value)
 
 
-def test_optional_fields_are_read_as_their_type():
-    doc = {"family": "horn", "q": 2, "params": {"t": 0.1, "s": 0.1, "b": 2, "rx": True, "ry": 3}}
-    spec = family_from_dict(doc)
-    assert type(spec.rx) is float and type(spec.ry) is float
-    assert family_to_dict(spec)["params"]["rx"] is not True
-    assert make_family("lauricella", 2, {"t": 0.2, "s": 0.1, "b": 2, "r2": "0.4"}).r2 == 0.4
+@pytest.mark.parametrize("name, params", [
+    ("horn", {"t": 0.1, "s": 0.1, "b": 2, "rx": 1.0}),
+    ("horn", {"t": 0.1, "s": 0.1, "b": 2, "ry": 3.0}),
+    ("lauricella", {"t": 0.2, "s": 0.1, "b": 2, "r2": 0.5}),
+], ids=["rx", "ry", "r2"])
+def test_family_document_with_a_radius_field_is_refused(name, params):
+    # the series radii went with the series: every family field is required
+    key = next(k for k in params if k.startswith("r"))
+    with pytest.raises(DomainError, match=f"unexpected keyword argument {key!r}") as exc:
+        family_from_dict({"family": name, "q": 2, "params": params})
+    assert "\n" not in str(exc.value)
 
 
-def test_cli_names_a_bad_optional_field(tmp_path, capsys):
-    doc = '{"family": "lauricella", "q": 2, "params": {"t": 0.2, "s": 0.1, "b": 2, "r2": "x"}}'
+def test_cli_names_a_radius_field(tmp_path, capsys):
+    doc = '{"family": "lauricella", "q": 2, "params": {"t": 0.2, "s": 0.1, "b": 2, "r2": 0.5}}'
     rc = cli.main(["expand", "--family", doc, "--out", str(tmp_path / "o.json")])
     err = capsys.readouterr().err
     assert rc == 2 and err.count("\n") == 1
-    assert err.startswith("error: bad parameter 'r2' for family 'lauricella': ")
+    assert err.startswith("error: bad parameters for family 'lauricella': ") and "'r2'" in err
 
 
 @pytest.mark.parametrize("q", [2.9, True, float("inf"), "2.5"], ids=range(4))

@@ -53,11 +53,11 @@ def test_family_tables_equal_the_per_entry_loops(q, shape):
 
 @pytest.mark.parametrize("spec", [
     Horn(t=0.7, s=0.05, b=3, q=3),
-    Horn(t=1.5, s=0.1, b=1, q=2),
-    Horn(t=0.1, s=0.2, b=5, q=4, rx=4.0, ry=5.0),
+    Horn(t=0.85, s=0.1, b=1, q=2),
+    Horn(t=0.1, s=0.6, b=5, q=4),
     Lauricella(t=0.45, s=0.2, b=3, q=3),
     Lauricella(t=0.05, s=0.01, b=3, q=5),
-    Lauricella(t=0.6, s=0.2, b=1, q=2, r2=0.7),
+    Lauricella(t=0.9, s=0.6, b=1, q=2),
     Aktas(t=0.95, q=5),
 ], ids=repr)
 @pytest.mark.parametrize("shape", [(9, 13), (13, 9), (40, 40)])
