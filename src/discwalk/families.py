@@ -21,7 +21,8 @@ Jacobi generating function, the binomial series):
 D^-1 ((1+s+D)/(1+s-2s|z|^2+D))^(q-2) (1 - 2tz/(1+s+D))^-b, D = sqrt((1+s)^2 - 4s|z|^2).
 Horn's H4 kernel at b = q - 1 is S^-1 ((v+S)/2)^(2-q), v = 1 - s - t conj(z),
 S^2 = v^2 + 4s(1 - |z|^2); for b < q - 1 it is a Beta mean of that form, which an
-exact Gauss rule sums, and for b > q - 1 a finite sum of its Taylor coefficients.
+exact Gauss rule sums, and for b > q - 1 a Taylor coefficient of a generating
+function in b that is that form again, summed from binomial series.
 Closed-form coefficient tables take their factorial and Pochhammer ratios in
 log space, so large tables underflow to zero instead of overflowing.  They
 are built from per-index arrays: each lgamma value and Exponential's inner
@@ -35,14 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, DomainError
 from .positivity import IndexSet, difference_set
-from .quadrature import DiskRule, _gauss_jacobi, expand
+from .quadrature import _RADIAL_BUDGET, DiskRule, _gauss_jacobi, expand
 from .special import disc_norm_h, disc_norm_h_rows, ensure_in_disk, libm_each
 from .tables import CoefficientTable, read_index
 
@@ -218,20 +218,54 @@ def _flat_broadcast(*args):
     return [a.ravel() for a in arrs], arrs[0].shape
 
 
-#: most Gauss nodes or Taylor terms of one Horn evaluation
-_HORN_BUDGET = 1024
+#: most Taylor terms of one Horn evaluation at b >= q - 1: it costs O(terms^2) per point for
+#: q > 2; at 1024 terms one point takes about 27 ms and a grid-41 plot (1257 points) 10 s
+_HORN_TERMS = 1024
+#: Taylor coefficients held at once (points x terms) by Horn's sum at b >= q - 1
+_HORN_BLOCK = 2**16
 
 
-@lru_cache(maxsize=32)
-def _beta_rule(a: int, b: int) -> tuple[tuple, tuple]:
+def _beta_rule(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule for the Beta(b, a-b) law on [0, 1], exact up to degree a - 2: the larger
     exponent is the Jacobi weight, the smaller one (d) is folded into the weights."""
     p1, p2 = b - 1, a - b - 1
     d = min(p1, p2)
     u, w = _gauss_jacobi((a + d) // 2, float(max(p1, p2)))  # 2n - 1 >= (a - 2) + d
     near = (1.0 + u) / 2.0  # the variable whose exponent is d
-    nodes = near if p1 <= p2 else 1.0 - near
-    return tuple(nodes.tolist()), tuple((math.comb(a - 1, d) * w * near**d).tolist())
+    return (near if p1 <= p2 else 1.0 - near), math.comb(a - 1, d) * w * near**d
+
+
+def _binomial_rows(p: float, a0, a1, terms: int):
+    """Taylor coefficients of (a0 - a1 lam)^p up to lam^(terms-1), a row per point; principal a0^p."""
+    n = np.arange(1.0, terms)
+    return np.cumprod(np.hstack([a0[:, None] ** p, np.outer(-a1 / a0, (p + 1.0 - n) / n)]), axis=1)
+
+
+def _coefficient(f, g, n: int):
+    """lam^n coefficient of the products of the rows of Taylor coefficients f and g."""
+    return (f[:, : n + 1] * g[:, n::-1]).sum(axis=1)
+
+
+def _h4_above(a: float, k: int, x, y, c: float):
+    """H4 at b = a + k, k >= 0, over 1-d arrays: the lam^k coefficient of G (see ``_horn_h4``)."""
+    r2 = 2.0 * np.sqrt(x + 0j)
+    ends = (c - y - r2, c - r2), (c - y + r2, c + r2)  # A- and A+ at lam = 0, and their slopes
+    lo, hi = (_binomial_rows(-0.5, *e, k + 1) for e in ends)
+    if a > 1:
+        u = sum(_binomial_rows(0.5, *e, k + 1) for e in ends) / 2.0
+        p, g = 2.0 - 2.0 * a, np.empty_like(u)
+        g[:, 0] = u[:, 0] ** p
+        for n in range(1, k + 1):  # J. C. P. Miller's recurrence for u^p
+            du = ((p + 1.0) * np.arange(1, n + 1) - n) * u[:, 1 : n + 1]
+            g[:, n] = _coefficient(du, g, n - 1) / (n * u[:, 0])
+        lo_g, hi_g = (np.stack([_coefficient(f, g, n) for n in range(k + 1)], axis=1) for f in (lo, hi))
+    else:
+        lo_g, hi_g = lo, hi
+    # (a)_k/k!, exact for the kernel's integer a
+    ak = math.comb(int(a) + k - 1, k) if a == int(a) else math.prod((a + i) / (i + 1) for i in range(k))
+    # conj(y) swaps A- and conj(A+): summed in both orders, conj(z) gives exactly conj(f(z)),
+    # which keeps a Gram matrix exactly Hermitian
+    return (_coefficient(lo, hi_g, k) + _coefficient(hi, lo_g, k)) / (2.0 * ak)
 
 
 def _horn_h4(a: float, b: float, x, y, c: float = 1.0):
@@ -245,50 +279,42 @@ def _horn_h4(a: float, b: float, x, y, c: float = 1.0):
       of F(y tau).  With zeta = 1/nu, F dw = zeta^(a-2) dzeta, and on the segment from zeta0
       (tau = 0) to zeta1 (tau = 1) the mean is delta E[A^(b-1) B^(a-b-1)], delta =
       (zeta1 - zeta0)/y, A and B linear in the Beta variable: ``_beta_rule`` sums it exactly.
-    * b - a = k >= 0 an integer: (b)_n/(a)_n = sum_j C(k, j) j!/(a)_j C(n, j), so H4 =
-      sum_j C(k, j) j!/(a)_j y^j F_j, F_j the Taylor coefficients of F at y, which follow a
-      three-term recurrence from (v^2 - 4x) F'' - 3v F' + a(2-a) F = 0.
+    * b - a = k >= 0 an integer: sum_k (a)_k/k! lam^k H4_{a+k} = (1-lam)^-a F(y/(1-lam)) = G(lam),
+      which is F at (c(1-lam), x(1-lam)^2) by homogeneity.  There S^2 = A- A+ with A-+ =
+      (v -+ 2 sqrt x) - (c -+ 2 sqrt x) lam, nu = u^2 with u = (sqrt A- + sqrt A+)/2, and
+      G = (A- A+)^-1/2 u^(2-2a): binomial series, Miller's recurrence and two products.  At x = 0
+      H4 = c^k v^-b with no sum; unlike the Taylor coefficients of F at y, the terms do not
+      cancel where Re y < 0.
     Every step is homogeneous in (c, c^2 x, c y), so no power of c is formed.  Arguments are
     scalars or arrays (broadcast together; a scalar call gives a complex); each point is
     computed on its own, so an array call returns bit for bit what one-point calls return.
     """
-    terms = (a + min(b, a - b) - 1) // 2 if b < a else b - a + 1
-    if terms > _HORN_BUDGET:
+    size = round((a + min(b, a - b) - 1) // 2 if b < a else b - a + 1)  # Gauss nodes or Taylor terms
+    budget = _RADIAL_BUDGET if b < a else _HORN_TERMS
+    if size > budget:
         raise CapacityError(
-            f"Horn's closed form at q = {a + 1:g}, b = {b:g} needs {terms:g} terms, "
-            f"over the budget of {_HORN_BUDGET}"
+            f"Horn's closed form at q = {a + 1:g}, b = {b:g} needs {size:g} "
+            f"{'Gauss nodes' if b < a else 'Taylor terms'}, over the budget of {budget}"
         )
     (x, y), shape = _flat_broadcast(x, y)
-    v = c - y
-    s2 = v * v - 4.0 * x
-    s1 = np.sqrt(s2)
-    nu1 = (v + s1) * 0.5
-    if b < a:
+    if b >= a:
+        out, step = np.empty(len(x), complex), max(1, _HORN_BLOCK // size)
+        for i in range(0, len(x), step):  # each point on its own row: blocks change no digit
+            out[i : i + step] = _h4_above(a, size - 1, x[i : i + step], y[i : i + step], c)
+    else:
         nodes, weights = _beta_rule(int(a), int(b))
-        s0 = np.sqrt(c * c - 4.0 * x)
-        nu0 = (c + s0) * 0.5
+        v = c - y
+        s0, s1 = np.sqrt(c * c - 4.0 * x), np.sqrt(v * v - 4.0 * x)
+        nu0, nu1 = (c + s0) * 0.5, (v + s1) * 0.5
         z0, z1 = 1.0 / nu0, 1.0 / nu1
         # nu0 - nu1 = y (1 + (2c - y)/(s0 + s1))/2, free of cancellation at small y
         delta = (1.0 + (2.0 * c - y) / (s0 + s1)) / (2.0 * nu0 * nu1)
         out = 0.0
         for node, w in zip(nodes, weights):  # no BLAS product: a point rounds alike in any array
             zeta = z0 + node * (z1 - z0)
-            A = delta * (c - x * (zeta + z0))
-            B = delta * (v - x * (zeta + z1))
+            A, B = delta * (c - x * (zeta + z0)), delta * (v - x * (zeta + z1))
             out = out + w * (A ** (b - 1.0) * B ** (a - b - 1.0))
         out = delta * out
-    else:
-        k = round(b - a)
-        out = nu1 ** (1.0 - a) / s1
-        if k:
-            r1, r2 = y * v / s2, y * y / s2
-            e_prev, e = out, out * y * (v + (a - 1.0) * s1) / s2  # y^j F_j, j = 0, 1
-            coef = k / a  # C(k, j) j!/(a)_j
-            out = out + coef * e
-            for n in range(k - 1):
-                e_prev, e = e, ((2 * n + 3) * r1 * e - (n + a) * (n + 2 - a) / (n + 1) * r2 * e_prev) / (n + 2)
-                coef *= (k - n - 1) / (a + n + 1)
-                out = out + coef * e
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from discwalk import (
@@ -470,20 +470,49 @@ def test_horn_on_the_unit_circle_is_its_binomial_series(q, b, t, s):
     got = eval_family(Horn(t=t, s=s, b=b, q=q), z)
     c, y = 1.0 - s, t * np.conj(z)
     want = c ** (b - q + 1) * (c - y) ** -b
-    # for k = b - q + 1 > 0 the Taylor terms C(k, j) y^j (c - y)^(1-q-j) alternate where
-    # Re y < 0: the error is rounding of the sum of their moduli
-    k = b - q + 1
-    scale = np.abs(c - y) ** (1 - q) * (1.0 + np.abs(y / (c - y))) ** k if k > 0 else np.abs(want)
-    assert np.all(np.abs(got - want) <= 4e-15 * (q + b) * np.maximum(np.abs(want), scale))
+    assert np.all(np.abs(got - want) <= 4e-15 * (q + b) * np.abs(want))
+
+
+@pytest.mark.parametrize("b", [12, 30])
+@pytest.mark.parametrize("z", [-1 + 0j, -0.9j, -0.9 + 0j, 0.9j])
+def test_horn_far_above_b_equal_q_minus_1_matches_the_oracle(b, z):
+    # b - q + 1 = 11 and 29 Taylor terms at Re y <= 0, where the Taylor coefficients of the
+    # b = q - 1 form at y alternate; the oracle's m-series converges at these points
+    spec = Horn(t=0.5, s=0.3, b=b, q=2)
+    got = eval_family(spec, z)
+    x = spec.s * (abs(z) ** 2 - 1.0) / (1.0 - spec.s) ** 2
+    want = horn_h4_oracle(1.0, b, x, spec.t * z.conjugate() / (1.0 - spec.s)) / (1.0 - spec.s)
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 6])
+@pytest.mark.parametrize("b", [1, 2, 3, 12, 40])
+def test_horn_is_exactly_conjugate_symmetric(q, b):
+    # f(conj z) = conj f(z) bit for bit keeps a Gram matrix exactly Hermitian, which its
+    # absolute 1e-9 check needs where f(1) is as large as 1e22 (b = 40)
+    spec = Horn(t=0.5, s=0.3, b=b, q=q)
+    z = np.concatenate([uniform_disk_points(np.random.default_rng(5), 40), [-0.9, 0.3, 1.0, -1.0, 0.0]])
+    got = eval_family(spec, z)
+    assert np.array_equal(eval_family(spec, np.conj(z)), np.conj(got))
+    assert np.all(got[-5:].imag == 0.0)
+
+
+def test_horn_array_call_equals_point_calls_across_blocks():
+    # 64 Taylor terms: the array call sums 1024 points per block
+    spec = Horn(t=0.5, s=0.3, b=65, q=3)
+    z = uniform_disk_points(np.random.default_rng(3), 1100)
+    got = eval_family(spec, z)
+    want = np.array([eval_family(spec, complex(w)) for w in z])
+    assert got.tobytes() == want.tobytes() == eval_family(spec, z).tobytes()
 
 
 def test_horn_refuses_a_rule_or_a_sum_over_its_budget():
     from discwalk import CapacityError
 
-    with pytest.raises(CapacityError, match="needs 1026 terms, over the budget of 1024"):
+    with pytest.raises(CapacityError, match="needs 1026 Taylor terms, over the budget of 1024"):
         eval_family(Horn(t=0.1, s=0.1, b=1026, q=2), 0.5)
-    with pytest.raises(CapacityError, match="needs 1025 terms, over the budget of 1024"):
-        eval_family(Horn(t=0.1, s=0.1, b=1, q=2052), 0.5)
+    with pytest.raises(CapacityError, match="needs 2049 Gauss nodes, over the budget of 2048"):
+        eval_family(Horn(t=0.1, s=0.1, b=1, q=4100), 0.5)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -602,14 +631,17 @@ _DISK_GRID = np.outer([0.0, 0.5, 0.9, 0.99, 1.0], np.exp(2j * np.pi * np.arange(
 def test_every_accepted_spec_matches_its_exact_table_within_the_tail(family, s, share, b, q):
     # t = share (1 - s) covers Horn's 0 < t < 1 - s, t = share Lauricella's 0 < t < 1.
     # Every coefficient is positive and |R_{m,n}| <= 1 on the disk, so a truncated
-    # table is within its tail f(1) - (table sum) of the kernel everywhere.
+    # table is within its tail f(1) - (table sum) of the kernel everywhere; a draw whose
+    # 100 x 100 table leaves over 1e-3 f(1) is evaluated but not compared.
     t = share * (1.0 - s) if family is Horn else share
     spec = family(t=t, s=s, b=b, q=q)
     f1 = (1.0 - s) ** (1 - q) * (1.0 - (t / (1.0 - s) if family is Horn else t)) ** -b
     got = eval_family(spec, _DISK_GRID)
-    table = family_coefficients(spec, 60, 60)
+    assert np.all(np.isfinite(got))
+    table = family_coefficients(spec, 100, 100)
     tail = f1 - coefficient_sum(table, tol=0.0)
     assert tail >= -1e-12 * f1
+    assume(tail <= 1e-3 * f1)
     assert np.all(np.abs(got - synthesize(table, _DISK_GRID)) <= tail + 1e-12 * f1)
 
 
