@@ -189,7 +189,7 @@ def _cmd_check(args) -> int:
             "spd": None,
         }
         if report.ok:
-            s = difference_set(table, threshold=args.threshold, min_index=0)
+            s = difference_set(table, threshold=args.threshold)
             doc["set"] = s.to_dict()
             doc["spd"] = spd_verdict(s).to_dict()
     else:

@@ -1,11 +1,14 @@
 """Parametric families of positive definite kernels on complex spheres.
 
-Six families with closed forms on the disk and known disc-polynomial
+Six families with closed forms on the disk and exact disc-polynomial
 expansions, used as ground-truth fixtures everywhere else:
 
-* ``product``:     z^m conj(z)^n, coefficients nonnegative; extracted by quadrature.
-* ``poisson``:     (1/sigma_2q) (1-r^2)^q / |1 - r z|^(2q); extracted by quadrature
-                   (its expansion coefficients have no printed closed form).
+* ``product``:     z^m conj(z)^n = sum_{j <= min(m,n)} c_j R_{m-j,n-j} (Rodrigues, DLMF 18.18):
+                   c_j = h_{m-j,n-j} Gamma(alpha+2) m! n! / (j! Gamma(m+n-j+alpha+2)) > 0.
+* ``poisson``:     (1/sigma_2q) (1-r^2)^q / |1 - r z|^(2q), coefficients positive for r > 0:
+                   a_{m,n} = (h_{m,n}/sigma_2q) r^(m+n) 2F1(m, n; m+n+q; r^2) Gamma(m+q) Gamma(n+q)
+                   / (Gamma(q) Gamma(m+n+q)): the geometric series of |1 - r z|^(-2q) in the product
+                   coefficients, Euler's transformation (DLMF 15.8.1), Gauss's sum (DLMF 15.4.20).
 * ``exponential``: e^(z + conj z); every coefficient strictly positive:
                    a_{m,n} = h_{m,n}^{q-2} (q-1)! * sum_j 1/(j! (m+n+q-1+j)!).
 * ``aktas``:       generating-function kernel with coefficients
@@ -15,6 +18,7 @@ expansions, used as ground-truth fixtures everywhere else:
 * ``lauricella``:  triple hypergeometric (F14-type) kernel, coefficients
                    (q-1)_n (b)_m t^m s^n/(m! n!) at key (m+n, n).
 
+Each family is one class (see ``FamilySpec``); the module functions dispatch to it.
 Both hypergeometric kernels are evaluated in closed form.  Lauricella's F14
 series sums to an elementary kernel (Euler's and Pfaff's transformations, the
 Jacobi generating function, the binomial series):
@@ -24,12 +28,13 @@ S^2 = v^2 + 4s(1 - |z|^2); for b < q - 1 it is a Beta mean of that form, which a
 exact Gauss rule sums, and for b > q - 1 a Taylor coefficient of a generating
 function in b that is that form again, summed from binomial series.
 Closed-form coefficient tables take their factorial and Pochhammer ratios in
-log space, so large tables underflow to zero instead of overflowing.  They
-are built from per-index arrays: each lgamma value and Exponential's inner
-series once per index, then one array expression per table in the operand
-order of the per-entry formula, with exp and log from ``math``.  Every entry
-equals that formula's value bit for bit (the test suite keeps the per-entry
-loop as its reference).
+log space, so large tables underflow to zero instead of overflowing; the product
+table takes them as exact integer ratios, each entry correctly rounded.  The
+Exponential, Aktas, Horn and Lauricella tables are built from per-index arrays:
+each lgamma value and Exponential's inner series once per index, then one array
+expression per table in the operand order of the per-entry formula, with exp and
+log from ``math``.  Every entry equals that formula's value bit for bit (the test
+suite keeps the per-entry loop as its reference).
 """
 
 from __future__ import annotations
@@ -41,13 +46,15 @@ from itertools import product
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, DomainError
-from .positivity import IndexSet, difference_set
-from .quadrature import _RADIAL_BUDGET, DiskRule, _gauss_jacobi, expand
-from .special import disc_norm_h, disc_norm_h_rows, ensure_in_disk, libm_each
+from .positivity import IndexSet
+from .quadrature import _RADIAL_BUDGET, _gauss_jacobi
+from .special import disc_norm_h_rows, ensure_in_disk, libm_each
 from .tables import CoefficientTable, read_index
 
 #: largest q of sigma_2q: (q - 1)! is a finite float up to q = 171
 _SIGMA_Q_MAX = 171
+#: the difference set of a table with every coefficient positive: all of Z
+_ALL_OF_Z = IndexSet.of(progressions=[(0, 1), (0, -1)])
 
 
 def sigma_2q(q: int) -> float:
@@ -59,69 +66,155 @@ def sigma_2q(q: int) -> float:
     return 2.0 * math.pi**q / math.factorial(q - 1)
 
 
-def _check_q(q: int) -> None:
-    if q != int(q) or q < 2:
-        raise DomainError(f"family requires an integer q >= 2, got {q!r}")
-    try:
-        float(q - 2)  # family_alpha
-    except OverflowError:
-        raise DomainError(
-            f"family requires q - 2 within the float range, got a {q.bit_length()}-bit q"
-        ) from None
+#: family name -> class, filled in as each family class is defined
+_FAMILIES: dict[str, type[FamilySpec]] = {}
+
+
+class FamilySpec:
+    """A kernel family: a frozen dataclass of ``int``/``float`` fields with ``q: int``, found
+    by its class attribute ``name``.  It gives its closed form ``evaluate(z)`` at points in the
+    disk, its exact ``coefficients(m_max, n_max)`` as (m, n) -> complex, and ``pattern``, the
+    difference set of its untruncated support; ``_check()`` refuses parameters off its domain."""
+
+    name = ""
+
+    def __init_subclass__(cls) -> None:
+        if "name" in vars(cls):  # a subclass that keeps its parent's name does not replace it
+            _FAMILIES[cls.name] = cls
+
+    def __post_init__(self) -> None:
+        q = self.q
+        if q != int(q) or q < 2:
+            raise DomainError(f"family requires an integer q >= 2, got {q!r}")
+        try:
+            float(q - 2)  # family_alpha
+        except OverflowError:
+            raise DomainError(
+                f"family requires q - 2 within the float range, got a {q.bit_length()}-bit q"
+            ) from None
+        self._check()
+
+    def _check(self) -> None:
+        pass
 
 
 @dataclass(frozen=True)
-class ProductKernel:
+class ProductKernel(FamilySpec):
+    name = "product"
     m: int
     n: int
     q: int
 
-    def __post_init__(self) -> None:
-        _check_q(self.q)
+    def _check(self) -> None:
         if self.m < 0 or self.n < 0:
             raise DomainError(f"monomial powers must be nonnegative, got ({self.m}, {self.n})")
 
+    def evaluate(self, z):
+        return z**self.m * np.conj(z) ** self.n
+
+    def coefficients(self, m_max: int, n_max: int) -> dict:
+        # c_j = h_{m-j,n-j} m! n! / (j! (alpha+2)_{m+n-j}) with h = (mu+nu+alpha+1)/(alpha+1)
+        # C(alpha+mu, alpha) C(alpha+nu, alpha): a ratio of exact integers, as alpha = q - 2 is one
+        m, n, a, entries = self.m, self.n, self.q - 2, {}
+        for j in range(min(m, n), max(0, m - m_max, n - n_max) - 1, -1):
+            mu, nu = m - j, n - j
+            h = (mu + nu + a + 1) * math.comb(a + mu, a) * math.comb(a + nu, a)
+            den = (a + 1) * math.factorial(j) * math.prod(range(a + 2, a + 2 + m + n - j))
+            entries[(mu, nu)] = complex(h * math.factorial(m) * math.factorial(n) / den)
+        return entries
+
+    @property
+    def pattern(self) -> IndexSet:
+        return IndexSet.of(finite=[self.m - self.n])
+
 
 @dataclass(frozen=True)
-class PoissonSzego:
+class PoissonSzego(FamilySpec):
+    name = "poisson"
     r: float
     q: int
 
-    def __post_init__(self) -> None:
-        _check_q(self.q)
+    def _check(self) -> None:
         sigma_2q(self.q)  # refuses a q whose sphere measure is not computed
         if not 0.0 <= self.r < 1.0:
             raise DomainError(f"radius must satisfy 0 <= r < 1, got r = {self.r}")
 
+    def evaluate(self, z):
+        q = self.q
+        return ((1.0 - self.r**2) ** q / np.abs(1.0 - self.r * z) ** (2 * q) / sigma_2q(q)).astype(complex)
+
+    def _profile(self, m_max: int, n_max: int) -> np.ndarray:
+        """The array of ``poisson_szego_profile``."""
+        m, n = np.arange(m_max + 1)[:, None], np.arange(n_max + 1)[None, :]
+        lp = _log_poch(float(self.q), m_max + n_max)
+        # 1/2F1(m, n; m+n+q; 1) = (q)_m (q)_n / (q)_{m+n}; its log is exactly 0 where m n = 0
+        return self.r ** (m + n) * np.exp(lp[m] + lp[n] - lp[m + n] + _log_hyp(m, n, self.q, self.r**2))
+
+    def coefficients(self, m_max: int, n_max: int) -> dict:
+        if self.r == 0.0:  # the constant kernel 1/sigma_2q
+            m_max = n_max = 0
+        h = disc_norm_h_rows(m_max, n_max, family_alpha(self))
+        return _grid_entries((h / sigma_2q(self.q) * self._profile(m_max, n_max)).astype(complex))
+
+    @property
+    def pattern(self) -> IndexSet:
+        return _ALL_OF_Z if self.r else IndexSet.of(finite=[0])
+
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(FamilySpec):
+    name = "exponential"
+    pattern = _ALL_OF_Z
     q: int
 
-    def __post_init__(self) -> None:
-        _check_q(self.q)
+    def evaluate(self, z):
+        return np.exp(2.0 * np.real(z)).astype(complex)
+
+    def coefficients(self, m_max: int, n_max: int) -> dict:
+        # a_{m,n} = h_{m,n}^{q-2} (q-1)! sum_j 1/(j! (m+n+q-1+j)!)
+        #         = h (q-1)!/nu! * sum_j nu!/(j! (nu+j)!),  nu = m+n+q-1; the
+        # prefactor is taken in log space so that no factorial overflows
+        q, alpha = self.q, family_alpha(self)
+        series = np.array([_exponential_series(nu) for nu in range(q - 1, m_max + n_max + q)])
+        lg_nu = _lgammas(q, m_max + n_max)  # lgamma(nu + 1)
+        i = np.arange(m_max + 1)[:, None] + np.arange(n_max + 1)[None, :]  # nu - (q - 1)
+        log_scale = libm_each(math.log, disc_norm_h_rows(m_max, n_max, alpha)) + math.lgamma(q) - lg_nu[i]
+        return _grid_entries((libm_each(math.exp, log_scale) * series[i]).astype(complex))
 
 
 @dataclass(frozen=True)
-class Aktas:
+class Aktas(FamilySpec):
+    name = "aktas"
+    pattern = IndexSet.of(progressions=[(0, 1)])
     t: float
     q: int
 
-    def __post_init__(self) -> None:
-        _check_q(self.q)
+    def _check(self) -> None:
         if not 0.0 < self.t < 1.0:
             raise DomainError(f"parameter must satisfy 0 < t < 1, got t = {self.t}")
 
+    def evaluate(self, z):
+        t = self.t
+        big = np.sqrt(1.0 - 2.0 * (2.0 * np.abs(z) ** 2 - 1.0) * t + t * t)
+        return (1.0 / big) * (2.0 / (1.0 - t + big)) ** (self.q - 2) * np.exp(2.0 * t * z / (1.0 + t + big))
+
+    def coefficients(self, m_max: int, n_max: int) -> dict:
+        key_n, key_m = _triangle(min(n_max, m_max), m_max)  # series index (m, n) at key (m+n, n)
+        m, n = key_m - key_n, key_n
+        lg_fact, lp_q = _lgammas(1.0, m_max), _log_poch(self.q - 1.0, m_max)
+        return _exp_entries(key_m, key_n, lp_q[n] + key_m * math.log(self.t) - lg_fact[m] - lg_fact[n])
+
 
 @dataclass(frozen=True)
-class Horn:
+class Horn(FamilySpec):
+    name = "horn"
+    pattern = IndexSet.of(progressions=[(0, -1)])
     t: float
     s: float
     b: int
     q: int
 
-    def __post_init__(self) -> None:
-        _check_q(self.q)
+    def _check(self) -> None:
         if self.b < 1 or self.b != int(self.b):
             raise DomainError(f"parameter b must be a positive integer, got {self.b!r}")
         # every coefficient is positive and they sum to (1-s)^(1-q) (1 - t/(1-s))^-b
@@ -130,16 +223,34 @@ class Horn:
                 f"parameters must satisfy 0 < s < 1 and 0 < t < 1 - s, got t = {self.t}, s = {self.s}"
             )
 
+    def evaluate(self, z):
+        # (1-s)^(1-q) H4(s(|z|^2-1)/(1-s)^2, t conj(z)/(1-s)), taken homogeneous in c = 1 - s
+        xs, ys = self.s * (np.abs(z) ** 2 - 1.0), self.t * np.conj(z)
+        return _horn_h4(self.q - 1.0, float(self.b), xs, ys, 1.0 - self.s)
+
+    def coefficients(self, m_max: int, n_max: int) -> dict:
+        key_m, key_n = _triangle(min(m_max, n_max), n_max)  # series index (m, n) at key (m, m+n)
+        m, n = key_m, key_n - key_m
+        # (q+n-1)_m = Gamma(q-1+(m+n)) / Gamma(q-1+n): one lgamma per value of m+n
+        lg_fact, lg_q = _lgammas(1.0, n_max), _lgammas(self.q - 1.0, n_max)
+        lp_b = _log_poch(float(self.b), n_max)
+        log_a = (
+            (lg_q[key_n] - lg_q[n]) + lp_b[n] + n * math.log(self.t) + m * math.log(self.s)
+            - lg_fact[m] - lg_fact[n]
+        )
+        return _exp_entries(key_m, key_n, log_a)
+
 
 @dataclass(frozen=True)
-class Lauricella:
+class Lauricella(FamilySpec):
+    name = "lauricella"
+    pattern = IndexSet.of(progressions=[(0, 1)])
     t: float
     s: float
     b: int
     q: int
 
-    def __post_init__(self) -> None:
-        _check_q(self.q)
+    def _check(self) -> None:
         if self.b < 1 or self.b != int(self.b):
             raise DomainError(f"parameter b must be a positive integer, got {self.b!r}")
         # every coefficient is positive and they sum to (1-s)^(1-q) (1-t)^-b
@@ -148,18 +259,20 @@ class Lauricella:
                 f"parameters must satisfy 0 < s < 1 and 0 < t < 1, got t = {self.t}, s = {self.s}"
             )
 
+    def evaluate(self, z):
+        r2 = np.abs(z) ** 2
+        return _lauricella_f14(self.q - 1.0, float(self.b), self.s * (r2 - 1.0), self.t * z, self.s * r2)
 
-FamilySpec = ProductKernel | PoissonSzego | Exponential | Aktas | Horn | Lauricella
-
-_FAMILY_NAMES = {
-    ProductKernel: "product",
-    PoissonSzego: "poisson",
-    Exponential: "exponential",
-    Aktas: "aktas",
-    Horn: "horn",
-    Lauricella: "lauricella",
-}
-_FAMILIES = {name: cls for cls, name in _FAMILY_NAMES.items()}
+    def coefficients(self, m_max: int, n_max: int) -> dict:
+        key_n, key_m = _triangle(min(n_max, m_max), m_max)  # series index (m, n) at key (m+n, n)
+        m, n = key_m - key_n, key_n
+        lg_fact, lp_q = _lgammas(1.0, m_max), _log_poch(self.q - 1.0, m_max)
+        lp_b = _log_poch(float(self.b), m_max)
+        log_a = (
+            lp_q[n] + lp_b[m] + m * math.log(self.t) + n * math.log(self.s)
+            - lg_fact[m] - lg_fact[n]
+        )
+        return _exp_entries(key_m, key_n, log_a)
 
 
 def family_alpha(spec: FamilySpec) -> float:
@@ -192,11 +305,10 @@ def make_family(name: str, q: int, params: dict | None = None) -> FamilySpec:
 
 
 def family_to_dict(spec: FamilySpec) -> dict:
-    name = _FAMILY_NAMES[type(spec)]
     params = {
         k: v for k, v in spec.__dict__.items() if k != "q"
     }
-    return {"family": name, "q": spec.q, "params": params}
+    return {"family": spec.name, "q": spec.q, "params": params}
 
 
 def family_from_dict(doc: dict) -> FamilySpec:
@@ -355,34 +467,8 @@ def _lauricella_f14(c: float, b: float, x1, x2, x3):
 
 def eval_family(spec: FamilySpec, z):
     """Closed-form value of a family kernel at z (scalar or array) in the disk."""
-    scalar = np.ndim(z) == 0
-    arr = ensure_in_disk(z)
-    q = spec.q
-
-    if isinstance(spec, ProductKernel):
-        out = arr**spec.m * np.conj(arr) ** spec.n
-    elif isinstance(spec, PoissonSzego):
-        out = (
-            (1.0 - spec.r**2) ** q
-            / np.abs(1.0 - spec.r * arr) ** (2 * q)
-            / sigma_2q(q)
-        ).astype(complex)
-    elif isinstance(spec, Exponential):
-        out = np.exp(2.0 * np.real(arr)).astype(complex)
-    elif isinstance(spec, Aktas):
-        t = spec.t
-        big = np.sqrt(1.0 - 2.0 * (2.0 * np.abs(arr) ** 2 - 1.0) * t + t * t)
-        out = (1.0 / big) * (2.0 / (1.0 - t + big)) ** (q - 2) * np.exp(2.0 * t * arr / (1.0 + t + big))
-    elif isinstance(spec, Horn):
-        # (1-s)^(1-q) H4(s(|z|^2-1)/(1-s)^2, t conj(z)/(1-s)), taken homogeneous in c = 1 - s
-        xs, ys = spec.s * (np.abs(arr) ** 2 - 1.0), spec.t * np.conj(arr)
-        out = _horn_h4(q - 1.0, float(spec.b), xs, ys, 1.0 - spec.s)
-    elif isinstance(spec, Lauricella):
-        r2 = np.abs(arr) ** 2
-        out = _lauricella_f14(q - 1.0, float(spec.b), spec.s * (r2 - 1.0), spec.t * arr, spec.s * r2)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown family spec {spec!r}")
-    return complex(np.ravel(out)[0]) if scalar else np.asarray(out, dtype=complex)
+    out = spec.evaluate(ensure_in_disk(z))
+    return complex(np.ravel(out)[0]) if np.ndim(z) == 0 else np.asarray(out, dtype=complex)
 
 
 # --------------------------------------------------------------------------
@@ -402,9 +488,14 @@ def _exponential_series(nu: int) -> float:
             return total
 
 
-def _log_poch(a: float, k: int) -> float:
-    """log of the rising factorial (a)_k for a > 0."""
-    return math.lgamma(a + k) - math.lgamma(a)
+def _lgammas(a: float, k_max: int) -> np.ndarray:
+    """lgamma(a + k) for k = 0..k_max."""
+    return np.array([math.lgamma(a + k) for k in range(k_max + 1)])
+
+
+def _log_poch(a: float, k_max: int) -> np.ndarray:
+    """log of the rising factorials (a)_k, k = 0..k_max, for a > 0."""
+    return _lgammas(a, k_max) - math.lgamma(a)
 
 
 def _triangle(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -412,113 +503,72 @@ def _triangle(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.arange(cols + 1)[None, :] >= np.arange(rows + 1)[:, None])
 
 
-def family_coefficients(
-    spec: FamilySpec, m_max: int, n_max: int, rule: DiskRule | None = None
-) -> CoefficientTable:
-    """Coefficient table of a family up to (m_max, n_max).
+def _exp_entries(key_m: np.ndarray, key_n: np.ndarray, log_a: np.ndarray) -> dict:
+    return dict(zip(zip(key_m.tolist(), key_n.tolist()), libm_each(math.exp, log_a).astype(complex).tolist()))
 
-    Exponential/Aktas/Horn/Lauricella come from closed-form series re-indexed
-    onto disc-polynomial keys; ProductKernel and PoissonSzego are extracted by
-    quadrature and tagged ``source="extracted"``.
+
+def _grid_entries(values: np.ndarray) -> dict:
+    """The entries of an (m, n) array, keyed (m, n) in row-major order."""
+    return dict(zip(product(*map(range, values.shape)), values.ravel().tolist()))
+
+
+#: most terms of the Poisson table's 2F1 sum, counted before any is summed
+_POISSON_TERMS = 2**16
+#: a 2F1 sum above this (the sum is below 2^(m+n+2q)) is divided by it, an exact power of two
+_HUGE = 2.0**512
+
+
+def _log_hyp(m, n, q: int, x: float) -> np.ndarray:
+    """log 2F1(m, n; m+n+q; x), 0 <= x < 1, over index arrays m and n (broadcast together).
+
+    The terms are positive, with ratios rho_k = x (m+k)(n+k) / ((m+n+q+k)(k+1)) that fall and
+    then rise towards x: no later ratio exceeds R = max(rho_k, x), so the tail after a term t is
+    below t R/(1 - R), and the sum stops once that is below eps of it at every entry.  From
+    k = 2x(M - 1)/(1 - x) on (M the largest index) every ratio is below (1 + x)/2, which bounds
+    the number of terms.
     """
+    eps, top = 2.0**-53, max(int(np.max(m)), int(np.max(n)), 1)
+    terms = math.ceil(2.0 * x * (top - 1) / (1.0 - x)) + math.ceil(
+        math.log(eps * (1.0 - x) / (1.0 + x)) / math.log((1.0 + x) / 2.0)
+    )
+    if terms > _POISSON_TERMS:
+        raise CapacityError(f"the Poisson table at r^2 = {x} up to index {top} needs {terms} "
+                            f"terms of its 2F1 sum, over the budget of {_POISSON_TERMS}")
+    c = m + n + q
+    term = total = np.ones(np.broadcast(m, n).shape)
+    scale = np.zeros(total.shape)
+    for k in range(terms):
+        rho = (m + k) * (n + k) / (c + k) * (x / (k + 1.0))
+        bound = np.maximum(rho, x)
+        if np.all(term * bound <= eps * (1.0 - bound) * total):
+            break
+        term = term * rho
+        total = total + term
+        if total.max() > _HUGE:
+            over = total > _HUGE
+            term, total = np.where(over, term / _HUGE, term), np.where(over, total / _HUGE, total)
+            scale += over
+    return np.log(total) + scale * math.log(_HUGE)
+
+
+def family_coefficients(spec: FamilySpec, m_max: int, n_max: int) -> CoefficientTable:
+    """Exact coefficient table of a family up to (m_max, n_max), tagged ``source="exact"``."""
     if m_max < 0 or n_max < 0:
         raise DomainError("coefficient bounds must be nonnegative")
-    q = spec.q
-    alpha = family_alpha(spec)
-
-    if isinstance(spec, (ProductKernel, PoissonSzego)):
-        return expand(lambda z: eval_family(spec, z), alpha, m_max, n_max, rule=rule)
-
-    # lgamma values once per index; each array sum keeps the operand order of
-    # the per-entry formula, so every entry equals that formula bit for bit
-    lg = math.lgamma
-    ks = range(max(m_max, n_max) + 1)
-    lg_fact = np.array([lg(k + 1) for k in ks])
-    if isinstance(spec, Exponential):
-        # a_{m,n} = h_{m,n}^{q-2} (q-1)! sum_j 1/(j! (m+n+q-1+j)!)
-        #         = h (q-1)!/nu! * sum_j nu!/(j! (nu+j)!),  nu = m+n+q-1; the
-        # prefactor is taken in log space so that no factorial overflows
-        nus = range(q - 1, m_max + n_max + q)
-        series = np.array([_exponential_series(nu) for nu in nus])
-        lg_nu = np.array([lg(nu + 1) for nu in nus])
-        i = np.arange(m_max + 1)[:, None] + np.arange(n_max + 1)[None, :]  # nu - (q - 1)
-        log_scale = libm_each(math.log, disc_norm_h_rows(m_max, n_max, alpha)) + lg(q) - lg_nu[i]
-        values = libm_each(math.exp, log_scale) * series[i]
-        keys = product(range(m_max + 1), range(n_max + 1))
-    elif isinstance(spec, (Aktas, Lauricella)):
-        # series index (m, n) lands at table key (m+n, n)
-        key_n, key_m = _triangle(min(n_max, m_max), m_max)
-        m, n = key_m - key_n, key_n
-        lp_q = np.array([_log_poch(q - 1.0, k) for k in ks])
-        if isinstance(spec, Aktas):
-            log_a = lp_q[n] + key_m * math.log(spec.t) - lg_fact[m] - lg_fact[n]
-        else:
-            lp_b = np.array([_log_poch(float(spec.b), k) for k in ks])
-            log_a = (
-                lp_q[n] + lp_b[m] + m * math.log(spec.t) + n * math.log(spec.s)
-                - lg_fact[m] - lg_fact[n]
-            )
-        values = libm_each(math.exp, log_a)
-        keys = zip(key_m.tolist(), key_n.tolist())
-    elif isinstance(spec, Horn):
-        # series index (m, n) lands at table key (m, m+n)
-        key_m, key_n = _triangle(min(m_max, n_max), n_max)
-        m, n = key_m, key_n - key_m
-        # (q+n-1)_m = Gamma(q-1+(m+n)) / Gamma(q-1+n): one lgamma per value of m+n
-        lg_q = np.array([lg(q - 1.0 + k) for k in ks])
-        lp_b = np.array([_log_poch(float(spec.b), k) for k in ks])
-        log_a = (
-            (lg_q[key_n] - lg_q[n]) + lp_b[n] + n * math.log(spec.t) + m * math.log(spec.s)
-            - lg_fact[m] - lg_fact[n]
-        )
-        values = libm_each(math.exp, log_a)
-        keys = zip(key_m.tolist(), key_n.tolist())
-    else:  # pragma: no cover
-        raise DomainError(f"unknown family spec {spec!r}")
-    entries = dict(zip(keys, values.ravel().astype(complex).tolist()))
-    return CoefficientTable._of_clean(alpha, entries, "exact")
+    return CoefficientTable._of_clean(family_alpha(spec), spec.coefficients(m_max, n_max), "exact")
 
 
-def poisson_szego_profile(
-    spec: PoissonSzego, m_max: int, n_max: int, rule: DiskRule | None = None
-) -> dict[tuple[int, int], float]:
-    """Radial profile values S_{m,n}(r) of the Poisson kernel expansion.
-
-    The expansion coefficients factor as a_{m,n} = (h_{m,n}/sigma_2q) S_{m,n}(r)
-    with S nonnegative and S -> 1 as r -> 1; this solves for S = a sigma / h.
-    The profiles decay like r^(m+n), so large r needs a rule with angular order
-    well beyond the default to avoid aliasing (pass ``rule`` explicitly).
-    """
+def poisson_szego_profile(spec: PoissonSzego, m_max: int, n_max: int) -> dict[tuple[int, int], float]:
+    """Radial profile S_{m,n}(r) = a_{m,n} sigma_2q / h_{m,n} of the Poisson kernel, (m, n)
+    row-major: r^(m+n) 2F1(m, n; m+n+q; r^2) / 2F1(m, n; m+n+q; 1), positive for r > 0 and
+    rising to 1 as r -> 1; S_{0,0} = 1 and S_{1,0} = S_{0,1} = r exactly."""
     if not isinstance(spec, PoissonSzego):
         raise DomainError(f"profile is defined for the Poisson kernel, got {spec!r}")
-    table = family_coefficients(spec, m_max, n_max, rule=rule)
-    sigma = sigma_2q(spec.q)
-    return {
-        (m, n): v.real * sigma / disc_norm_h(m, n, table.alpha)
-        for (m, n), v in table.sorted_items()
-    }
+    if m_max < 0 or n_max < 0:
+        raise DomainError("coefficient bounds must be nonnegative")
+    return _grid_entries(spec._profile(m_max, n_max))
 
 
-def difference_pattern(
-    spec: FamilySpec,
-    threshold: float = 1e-10,
-    m_max: int = 8,
-    n_max: int = 8,
-) -> IndexSet:
-    """Exact symbolic difference set of the family's full (untruncated) support.
-
-    Exponential has every coefficient positive (all of Z); Aktas and Lauricella
-    are supported on keys (m+n, n), giving Z+; Horn on (m, m+n), giving -Z+.
-    ProductKernel and PoissonSzego patterns are read off an extracted table
-    with the given threshold.
-    """
-    if isinstance(spec, Exponential):
-        return IndexSet.of(progressions=[(0, 1), (0, -1)])
-    if isinstance(spec, (Aktas, Lauricella)):
-        return IndexSet.of(progressions=[(0, 1)])
-    if isinstance(spec, Horn):
-        return IndexSet.of(progressions=[(0, -1)])
-    if isinstance(spec, ProductKernel):
-        m_max, n_max = spec.m, spec.n
-    table = family_coefficients(spec, m_max, n_max)
-    return difference_set(table, threshold=threshold, min_index=0)
+def difference_pattern(spec: FamilySpec) -> IndexSet:
+    """Exact symbolic difference set of the family's full (untruncated) support."""
+    return spec.pattern

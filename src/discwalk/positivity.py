@@ -264,8 +264,8 @@ def is_pd(table: CoefficientTable, tol: float = 1e-10) -> PdReport:
     return PdReport(ok=not violations, violations=violations)
 
 
-def difference_set(table: CoefficientTable, threshold: float = 0.0, min_index: int = 0) -> IndexSet:
-    """Exact difference set {m - n : a_{m,n} > threshold, m, n >= min_index}.
+def difference_set(table: CoefficientTable, threshold: float = 0.0) -> IndexSet:
+    """Exact difference set {m - n : a_{m,n} > threshold}.
 
     The threshold defaults to 0 for exact tables and should be set explicitly
     (e.g. 1e-10) for quadrature-derived tables, where "zero" entries carry
@@ -273,12 +273,7 @@ def difference_set(table: CoefficientTable, threshold: float = 0.0, min_index: i
     """
     if threshold < 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
-    finite = {
-        m - n
-        for (m, n), v in table.entries.items()
-        if m >= min_index and n >= min_index and v.real > threshold
-    }
-    return IndexSet.of(finite=finite)
+    return IndexSet.of(finite={m - n for (m, n), v in table.entries.items() if v.real > threshold})
 
 
 def is_spd(
@@ -305,7 +300,7 @@ def is_spd(
     report = is_pd(table, tol=tol)
     if not report.ok:
         raise NotPositiveDefiniteError(report.violations)
-    s = declared_set if declared_set is not None else difference_set(table, threshold, 0)
+    s = declared_set if declared_set is not None else difference_set(table, threshold)
     return spd_verdict(s)
 
 

@@ -25,9 +25,11 @@ from discwalk import (
     disc_poly,
     eval_family,
     expand,
+    family_coefficients,
     is_pd,
     jacobi_R_all,
     make_family,
+    sigma_2q,
     synthesize,
 )
 from discwalk.special import disc_norm_h_rows
@@ -101,6 +103,50 @@ def test_expand_of_one_disc_polynomial_is_its_unit_entry(m, n, angular):
     unit[m, n] = 1.0
     values = np.array(list(table.entries.values())).reshape(10, 10)
     assert np.all(np.abs(values - unit) <= _rounding_bound(f, rule, 9, 9))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_product_table_matches_expand(q):
+    # expand is exact for polynomials, so it differs from the correctly rounded exact table by
+    # its own rounding only.  That exceeds the FFT-vs-DFT bound by up to 1.78x (q = 4,
+    # z^4 conj(z)^4 at (0, 0)), the rule's own error, so the check allows twice the bound.
+    for m in range(7):
+        for n in range(5):
+            spec = make_family("product", q, {"m": m, "n": n})
+            f = lambda z: eval_family(spec, z)
+            rule = default_rule(q - 2.0, 6, 4)
+            exact, extracted = family_coefficients(spec, 6, 4), expand(f, q - 2.0, 6, 4, rule)
+            diff = np.array([[abs(exact.get(i, k) - extracted.get(i, k)) for k in range(5)] for i in range(7)])
+            assert np.all(diff <= 2.0 * _rounding_bound(f, rule, 6, 4)), (m, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("r", [0.3, 0.6, 0.9])
+def test_poisson_table_matches_expand_on_a_fine_rule(q, r):
+    # an 80 x 400 rule leaves no aliasing above rounding at D = 12; the worst difference is
+    # 3.4 times the rounding bound (q = 5, r = 0.9), as the exact entries carry their lgamma
+    # rounding (about 1e-14 relative) as well, so the check allows eight times it
+    spec = make_family("poisson", q, {"r": r})
+    f = lambda z: eval_family(spec, z)
+    rule = build_rule(q - 2.0, 80, 400)
+    exact, extracted = family_coefficients(spec, 12, 12), expand(f, q - 2.0, 12, 12, rule)
+    diff = np.array([[abs(exact.get(i, k) - extracted.get(i, k)) for k in range(13)] for i in range(13)])
+    assert np.all(diff <= 8.0 * _rounding_bound(f, rule, 12, 12))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_poisson_table_mass_is_the_value_at_one(q):
+    # every coefficient is positive and R_{m,n}(1) = 1, so the table sum falls short of
+    # f(1) = ((1+r)/(1-r))^q / sigma_2q by the tail alone; with S_{m,n} <= r^(m+n) that tail
+    # is below sum h_{m,n} r^(m+n) / sigma_2q over the keys outside the table
+    r, D = 0.5, 60
+    spec = make_family("poisson", q, {"r": r})
+    f1 = ((1.0 + r) / (1.0 - r)) ** q / sigma_2q(q)
+    mass = math.fsum(v.real for v in family_coefficients(spec, D, D).entries.values())
+    tail = sum(
+        disc_norm_h(m, d - m, q - 2.0) * r**d for d in range(D + 1, 400) for m in range(d + 1) if max(m, d - m) > D
+    ) / sigma_2q(q)
+    assert -1e-14 * f1 <= f1 - mass <= tail + 1e-14 * f1
 
 
 def test_expand_runs_one_jacobi_recurrence(monkeypatch):

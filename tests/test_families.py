@@ -173,18 +173,39 @@ def test_exponential_coefficients_match_bessel_series():
             assert v.real == pytest.approx(want, rel=1e-14)
 
 
-def test_product_extraction_matches_gamma_closed_form():
+def test_product_table_matches_gamma_closed_form():
     for q in (2, 3):
         for (m, n) in ((1, 0), (2, 1), (3, 2)):
             tab = family_coefficients(ProductKernel(m=m, n=n, q=q), m, n)
-            assert tab.source == "extracted"
+            assert tab.source == "exact"
             for j in range(min(m, n) + 1):
                 want = product_coefficient_closed(q, m, n, j)
-                assert tab.get(m - j, n - j).real == pytest.approx(want, rel=1e-10)
-            for (mm, nn), v in tab.entries.items():
-                if mm - nn != m - n:
-                    assert abs(v) < 1e-11
-                assert v.real > -1e-10
+                assert tab.get(m - j, n - j).real == pytest.approx(want, rel=1e-14)
+            assert all(mm - nn == m - n and v.real > 0.0 and v.imag == 0.0 for (mm, nn), v in tab.entries.items())
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+@pytest.mark.parametrize("m, n", [(0, 0), (5, 0), (0, 3), (4, 4), (9, 6), (6, 9), (30, 17)])
+def test_product_table_holds_exactly_its_min_m_n_plus_one_keys(q, m, n):
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    tab = family_coefficients(ProductKernel(m=m, n=n, q=q), 40, 40)
+    assert sorted(tab.entries) == [(m - j, n - j) for j in range(min(m, n), -1, -1)]
+    alpha = q - 2
+    for (mu, nu), v in tab.entries.items():
+        j = m - mu
+        h = mp.mpf(mu + nu + alpha + 1) / (alpha + 1) * mp.binomial(alpha + mu, alpha) * mp.binomial(alpha + nu, alpha)
+        want = h * mp.factorial(alpha + 1) * mp.factorial(m) * mp.factorial(n) / (
+            mp.factorial(j) * mp.factorial(m + n - j + alpha + 1)
+        )
+        assert v.imag == 0.0 and v.real > 0.0
+        assert abs(v.real - want) <= 2.0**-53 * want  # one correctly rounded ratio of integers
+    # z^m conj(z)^n is 1 at z = 1, where every R_{m,n} is 1
+    assert sum(v.real for v in tab.entries.values()) == pytest.approx(1.0, rel=1e-14)
+    # a window that cuts the sum keeps only the keys inside it
+    small = family_coefficients(ProductKernel(m=m, n=n, q=q), 2, 2)
+    assert small.entries == {k: v for k, v in tab.entries.items() if max(k) <= 2}
 
 
 def test_product_trivial_case_is_single_entry():
@@ -226,9 +247,55 @@ def test_difference_patterns_and_verdicts():
     assert difference_pattern(Horn(t=0.1, s=0.1, b=2, q=2)) == IndexSet.of(progressions=[(0, -1)])
     for spec in (Exponential(q=2), Aktas(t=0.3, q=2), Horn(t=0.1, s=0.1, b=2, q=2)):
         assert spd_verdict(difference_pattern(spec)).kind == "certified_exact"
-    assert difference_pattern(ProductKernel(m=3, n=1, q=2)).finite == frozenset({2})
-    pat = difference_pattern(PoissonSzego(r=0.5, q=2), threshold=1e-10, m_max=4, n_max=4)
-    assert pat.finite == frozenset(range(-4, 5))
+    assert difference_pattern(ProductKernel(m=3, n=1, q=2)) == IndexSet.of(finite=[2])
+    assert difference_pattern(PoissonSzego(r=0.5, q=2)) == IndexSet.of(progressions=[(0, 1), (0, -1)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("r", [0.01, 0.5, 0.9, 0.99])
+def test_poisson_pattern_is_all_of_z_and_certified(q, r):
+    # every coefficient is positive for 0 < r < 1; the thresholded 8 x 8 reading refuted r = 0.5
+    assert spd_verdict(difference_pattern(PoissonSzego(r=r, q=q))).kind == "certified_exact"
+    assert all(v.real > 0.0 for v in family_coefficients(PoissonSzego(r=r, q=q), 6, 6).entries.values())
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_poisson_at_r_zero_is_the_constant(q):
+    spec = PoissonSzego(r=0.0, q=q)
+    assert difference_pattern(spec) == IndexSet.of(finite=[0])
+    assert spd_verdict(difference_pattern(spec)).kind == "refuted_at"
+    table = family_coefficients(spec, 5, 5)
+    assert list(table.entries) == [(0, 0)]
+    assert table.get(0, 0).real == pytest.approx(1.0 / sigma_2q(q), rel=1e-15)
+
+
+def test_removed_knobs_are_refused():
+    from discwalk import difference_set, poisson_szego_profile
+
+    spec = PoissonSzego(r=0.5, q=2)
+    with pytest.raises(TypeError):
+        difference_pattern(spec, threshold=1e-10)
+    with pytest.raises(TypeError):
+        difference_pattern(spec, m_max=4, n_max=4)
+    with pytest.raises(TypeError):
+        family_coefficients(spec, 4, 4, rule=None)
+    with pytest.raises(TypeError):
+        poisson_szego_profile(spec, 4, 4, rule=None)
+    with pytest.raises(TypeError):
+        difference_set(family_coefficients(spec, 2, 2), 0.0, 0)
+
+
+def test_every_family_table_is_exact():
+    specs = [
+        ProductKernel(m=2, n=1, q=2),
+        PoissonSzego(r=0.5, q=3),
+        Exponential(q=2),
+        Aktas(t=0.3, q=3),
+        Horn(t=0.1, s=0.1, b=2, q=2),
+        Lauricella(t=0.2, s=0.1, b=2, q=3),
+    ]
+    for spec in specs:
+        assert family_coefficients(spec, 4, 4).source == "exact"
 
 
 def test_families_are_positive_definite_empirically():
@@ -264,19 +331,69 @@ def test_horn_series_against_mpmath_hyper2d():
 def test_poisson_profile_closed_anchors():
     # For q = 2 the geometric expansion of |1-rz|^{-4} gives S_{0,0}(r) = 1 and
     # S_{1,0}(r) = r exactly, independent of r.
-    from discwalk import build_rule, poisson_szego_profile
+    from discwalk import poisson_szego_profile
 
     for r in (0.3, 0.5):
-        rule = build_rule(0.0, 24, 80)  # angular order large enough that r^K aliasing is negligible
-        prof = poisson_szego_profile(PoissonSzego(r=r, q=2), 4, 4, rule=rule)
-        assert prof[(0, 0)] == pytest.approx(1.0, abs=1e-10)
-        assert prof[(1, 0)] == pytest.approx(r, abs=1e-10)
-        assert prof[(1, 0)] == pytest.approx(prof[(0, 1)], abs=1e-12)
-        assert all(v >= -1e-10 for v in prof.values())
+        prof = poisson_szego_profile(PoissonSzego(r=r, q=2), 4, 4)
+        assert list(prof) == [(m, n) for m in range(5) for n in range(5)]
+        assert prof[(0, 0)] == 1.0
+        assert prof[(1, 0)] == prof[(0, 1)] == r
+        assert all(v > 0.0 for v in prof.values())
     lo = poisson_szego_profile(PoissonSzego(r=0.3, q=2), 3, 3)
     hi = poisson_szego_profile(PoissonSzego(r=0.6, q=2), 3, 3)
     for key in ((1, 1), (2, 1), (2, 2)):
         assert 0.0 <= lo[key] < hi[key] < 1.0 + 1e-9
+
+
+def _mp_poisson(q: int, r: float, m: int, n: int):
+    """a_{m,n} of the Poisson kernel from 30-digit mpmath hyp2f1 and Gamma values."""
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    alpha, r = q - 2, mp.mpf(r)
+    h = mp.mpf(m + n + alpha + 1) / (alpha + 1) * mp.binomial(alpha + m, alpha) * mp.binomial(alpha + n, alpha)
+    gauss = mp.gamma(m + q) * mp.gamma(n + q) / (mp.gamma(q) * mp.gamma(m + n + q))
+    return h / (2 * mp.pi**q / mp.factorial(q - 1)) * r ** (m + n) * mp.hyp2f1(m, n, m + n + q, r * r) * gauss
+
+
+def test_poisson_entry_at_r_09_against_mpmath():
+    # the 32 x 56 rule that extracted this entry before aliased it 62 % off (5.11e-4)
+    got = family_coefficients(PoissonSzego(r=0.9, q=2), 12, 12).get(12, 12)
+    want = _mp_poisson(2, 0.9, 12, 12)
+    assert float(want) == pytest.approx(3.1610621950739532e-4, rel=1e-15)
+    assert got.imag == 0.0 and abs(got.real - float(want)) <= 1e-13 * float(want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_poisson_entries_at_r_099_against_mpmath(q):
+    # about 1,500 terms of each 2F1 sum, whose ratios approach r^2 = 0.98
+    table = family_coefficients(PoissonSzego(r=0.99, q=q), 12, 12)
+    for m, n in [(0, 0), (1, 0), (3, 7), (12, 0), (6, 6), (12, 11), (12, 12)]:
+        want = float(_mp_poisson(q, 0.99, m, n))
+        assert abs(table.get(m, n).real - want) <= 1e-13 * want, (m, n)
+
+
+def test_poisson_table_past_the_term_budget_is_one_line_capacity_error():
+    from discwalk import CapacityError
+
+    with pytest.raises(CapacityError, match="over the budget of 65536") as exc:
+        family_coefficients(PoissonSzego(r=0.9999, q=2), 8, 8)
+    assert "\n" not in str(exc.value)
+    with pytest.raises(CapacityError):
+        family_coefficients(PoissonSzego(r=0.99, q=2), 1000, 1000)
+
+
+def test_poisson_sum_past_the_float_range_is_rescaled_exactly():
+    # 2F1(700, 700; 1402; 0.97) = e^744.68 is past the largest float, e^709.78; a table of
+    # degree 1400 at r = 0.985 holds it, within the term budget
+    import mpmath as mp
+
+    from discwalk.families import _log_hyp
+
+    mp.mp.dps = 30
+    got = _log_hyp(np.array([[700]]), np.array([[700]]), 2, 0.97)[0, 0]
+    assert got > math.log(np.finfo(float).max)
+    assert got == pytest.approx(float(mp.log(mp.hyp2f1(700, 700, 1402, mp.mpf(0.97)))), rel=1e-15)
 
 
 def test_poisson_profile_requires_poisson_spec():

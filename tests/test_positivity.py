@@ -265,9 +265,8 @@ def test_is_pd_examples():
 
 def test_difference_set_examples():
     t = CoefficientTable(alpha=0.0, entries={(3, 1): 1.0, (0, 5): 1.0})
-    assert difference_set(t, 0.0, 0).finite == frozenset({2, -5})
-    assert difference_set(t, 0.0, 1).finite == frozenset({2})
-    assert difference_set(CoefficientTable(alpha=0.0, entries={}), 0.0, 0).is_empty()
+    assert difference_set(t, 0.0).finite == frozenset({2, -5})
+    assert difference_set(CoefficientTable(alpha=0.0, entries={}), 0.0).is_empty()
     with pytest.raises(DomainError):
         difference_set(t, -1.0)
 
