@@ -13,13 +13,17 @@ Exit codes: 0 success, 2 usage/domain error, 3 capacity error (quadrature
 rule, residue table, sphere sample, Gram matrix or plot grid budget),
 4 counterexample verdict mismatch, 1 when stdout is closed before the output
 is written, with no message.  Verdicts
-themselves are data and exit 0.
+themselves are data and exit 0.  No refused command leaves its --out file.
 All outputs are deterministic given flags and seed.
+
+``main(argv)`` can be called repeatedly in one process: it builds each
+subcommand's parser once, on first use, and reuses it after that.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -146,8 +150,9 @@ def _cmd_expand(args) -> int:
     else:
         rule = default_rule(alpha, args.mmax, args.nmax)
     table = expand(lambda z: eval_family(spec, z), alpha, args.mmax, args.nmax, rule)
+    total = coefficient_sum(table, tol=args.tol)  # may refuse the table: then no file is written
     table.save(args.out)
-    print(f"coefficient_sum {coefficient_sum(table, tol=args.tol)!r}")
+    print(f"coefficient_sum {total!r}")
     print(f"max_imag_abs {table.max_abs_imag()!r}")
     return 0
 
@@ -346,10 +351,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """``build_parser(command)``, built once per name of ``_COMMANDS`` (or None) and reused."""
+    return build_parser(command)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

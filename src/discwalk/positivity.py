@@ -231,18 +231,33 @@ def _first_missed_residue(s: IndexSet, N: int) -> int:
     return covered.find(0)
 
 
+def _longest_run(finite: frozenset) -> int:
+    """Length of the longest run of consecutive integers in ``finite`` (0 if empty)."""
+    longest = 0
+    for e in finite:
+        if e - 1 not in finite:  # e starts a run
+            end = e + 1
+            while end in finite:
+                end += 1
+            longest = max(longest, end - e)
+    return longest
+
+
 def spd_verdict(s: IndexSet) -> SpdVerdict:
     """Decide exactly whether S meets every residue class N Z + j (all N >= 1)."""
     if any(abs(p.step) == 1 for p in s.progressions):
         return SpdVerdict.certified_exact("step-1 progression")
-    progressions = IndexSet(progressions=s.progressions)
-    L = math.lcm(*(abs(p.step) for p in s.progressions))
-    g = next((N for N in _divisors(L) if _first_missed_residue(progressions, N) >= 0), None)
-    if g is None:
-        return SpdVerdict.certified_exact("divisor closure")
-    # P meets every class mod N < g (mod gcd(N, L) < g it does), so S does too;
+    g = 1  # with no progression, P misses the one class mod 1
+    if s.progressions:
+        progressions = IndexSet(progressions=s.progressions)
+        L = math.lcm(*(abs(p.step) for p in s.progressions))
+        g = next((N for N in _divisors(L) if _first_missed_residue(progressions, N) >= 0), None)
+        if g is None:
+            return SpdVerdict.certified_exact("divisor closure")
+    # P meets every class mod N < g (mod gcd(N, L) < g it does), and a run of r
+    # consecutive elements of F meets every class mod N <= r, so S does too;
     # the scan stops by N = g (|F| + 1), where F cannot fill the classes P misses
-    N = g
+    N = max(g, _longest_run(s.finite) + 1)
     while (j := _first_missed_residue(s, N)) < 0:
         N += 1
     return SpdVerdict.refuted_at(N, j)

@@ -156,8 +156,9 @@ class CoefficientTable:
         return cls.from_dict(doc, source=source)
 
     def save(self, path) -> None:
+        text = self.dumps()  # may refuse the table: then no file is created
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "CoefficientTable":

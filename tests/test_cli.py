@@ -123,6 +123,30 @@ def test_expand_refuses_a_quadrature_order_below_one(tmp_path, capsys, flag, ord
     assert not out.exists()
 
 
+def test_expand_refused_by_the_coefficient_sum_writes_no_table(tmp_path, capsys):
+    # the default rule aliases this Horn kernel's slow modes into m > n keys
+    out = tmp_path / "h.json"
+    rc, stdout, stderr = run(
+        capsys, "expand", "--builtin", "horn", "--q", "2", "--param", "t=0.5", "--param", "s=0.3",
+        "--param", "b=5", "--mmax", "6", "--nmax", "6", "--out", str(out),
+    )
+    assert (rc, stdout) == (2, "")
+    assert stderr.startswith("error: coefficient_sum requires real nonnegative entries")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("op, key", [("dz", "(4, 5)"), ("dzbar", "(5, 4)"), ("dx", "(4, 5)")])
+def test_walk_refused_for_an_overflowing_entry_writes_no_table(op, key, tmp_path, capsys):
+    base = tmp_path / "big.json"
+    CoefficientTable(alpha=0.0, entries={(0, 0): 1.0, (5, 5): 1.7e308}).save(base)
+    out = tmp_path / "o.json"
+    rc, stdout, stderr = run(capsys, "walk", "--op", op, "--in", str(base), "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    assert stderr == f"error: cannot write non-finite coefficient {key} = (inf+0j)\n"
+    assert not out.exists()
+
+
 def test_walk_round_trip_drops_first_column(tmp_path, capsys):
     base = tmp_path / "base.json"
     CoefficientTable(alpha=0.0, entries={(0, 0): 1.0, (0, 2): 0.5, (1, 1): 2.0, (3, 0): 0.25}).save(base)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import discwalk.positivity as positivity
 from discwalk import (
     COUNTEREXAMPLE_EXPECTED,
     CapacityError,
@@ -165,6 +166,24 @@ def test_verdict_scans_divisors_lazily_from_the_smallest():
     elapsed = time.perf_counter() - start
     assert v == SpdVerdict.refuted_at(2, 1)
     assert elapsed < 0.05
+
+
+@pytest.mark.parametrize("finite, verdict, scanned", [
+    (range(-64, 65), SpdVerdict.refuted_at(130, 65), [130]),  # a run of 129 meets every class mod N <= 129
+    ([0, 1, 2, 7], SpdVerdict.refuted_at(5, 3), [4, 5]),  # run of 3: 7 fills class 3 mod 4, not mod 5
+    ([], SpdVerdict.refuted_at(1, 0), [1]),
+])
+def test_verdict_scan_starts_past_the_longest_run_of_the_finite_part(finite, verdict, scanned, monkeypatch):
+    counted = []
+    first_missed_residue = positivity._first_missed_residue
+
+    def counting(s, N):
+        counted.append(N)
+        return first_missed_residue(s, N)
+
+    monkeypatch.setattr(positivity, "_first_missed_residue", counting)
+    assert spd_verdict(IndexSet.of(finite=finite)) == verdict
+    assert counted == scanned
 
 
 def test_verdict_refutations_are_sound():
