@@ -14,6 +14,7 @@ so the angular sums of :func:`expand` are one FFT per radial node.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from itertools import product
@@ -30,7 +31,9 @@ class DiskRule:
     """Tensor quadrature rule for dnu_alpha; immutable after construction.
 
     Combined weights are normalized so they sum to one (the measure is a
-    probability measure); all nodes are strictly inside the open disk.
+    probability measure); all nodes are strictly inside the open disk.  The
+    radial weights are read-only: every rule of one radial order and alpha
+    built in a process shares them (see ``_gauss_jacobi``).
     """
 
     alpha: float
@@ -58,7 +61,30 @@ class DiskRule:
 #: budget, the matrix and eigvalsh's copy of it take about 65 MB and 1.3 s
 _RADIAL_BUDGET = 2048
 
+#: radial rules kept per process: at most _RADIAL_BUDGET nodes and weights
+#: each, so at most 32 KB per rule and 2 MB in all
+_RULE_CACHE = 64
 
+
+def _memo_by_bits(fn):
+    """``fn(n, alpha)`` under an LRU cache keyed on alpha's bits, so -0.0 and
+    0.0 stay apart (``lru_cache`` alone would give both one entry).  A refusal
+    is raised anew on every call."""
+
+    @functools.lru_cache(maxsize=_RULE_CACHE)
+    def by_bits(n: int, bits: str):
+        return fn(n, float.fromhex(bits))
+
+    @functools.wraps(fn)
+    def memo(n: int, alpha: float):
+        return by_bits(n, alpha.hex())
+
+    memo.cache_info = by_bits.cache_info
+    memo.cache_clear = by_bits.cache_clear
+    return memo
+
+
+@_memo_by_bits
 def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and unit-mass weights of the n-point Gauss rule for
     the weight (1-u)^alpha on [-1, 1] (Golub-Welsch, polished).
@@ -72,6 +98,8 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
     The weights are proportional to 1 / ((1-u_i^2) prod_{j != i} (u_i-u_j)^2),
     which needs only the nodes; the products are summed as logs.
+
+    Both arrays are read-only, because the memo hands them to every caller.
     """
     # at huge alpha the nodes crowd at -1 and coincide in floating point;
     # such a rule is refused below, so its warnings are not printed
@@ -120,6 +148,7 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
             f"no radial rule of order {n} at alpha = {alpha!r}: its nodes or weights "
             "degenerate in floating point"
         )
+    u.flags.writeable = w.flags.writeable = False
     return u, w
 
 
@@ -300,8 +329,10 @@ def coefficient_sum(table: CoefficientTable, tol: float = 1e-10) -> float:
     diagnostic for truncations.  Entries with imaginary part beyond ``tol`` or
     real part below ``-tol``, and NaN entries, are rejected.
     """
-    bad = table.nonnegativity_violations(tol)
-    if bad:
+    vals = np.fromiter(table.entries.values(), dtype=complex, count=len(table.entries))
+    if not np.all((np.abs(vals.imag) <= tol) & (vals.real >= -tol)):
+        bad = table.nonnegativity_violations(tol)
         head = ", ".join(f"({m},{n})={v}" for m, n, v in bad[:4])
         raise DomainError(f"coefficient_sum requires real nonnegative entries; offending: {head}")
-    return float(sum(v.real for v in table.entries.values()))
+    # Python's sum of the list, so the total keeps the bits of a sum in table order
+    return float(sum(vals.real.tolist()))

@@ -54,7 +54,8 @@ def read_index(value) -> int:
 class CoefficientTable:
     alpha: float
     entries: dict[Key, complex] = field(default_factory=dict)
-    #: provenance tag ("exact" closed form vs "extracted" by quadrature); not serialized
+    #: provenance tag ("exact" closed form, "extracted" by quadrature, "unknown"
+    #: when read from a file); not serialized
     source: str = "exact"
 
     def __post_init__(self) -> None:
@@ -103,7 +104,7 @@ class CoefficientTable:
         return table
 
     @classmethod
-    def from_dict(cls, doc: dict, source: str = "exact") -> "CoefficientTable":
+    def from_dict(cls, doc: dict, source: str = "unknown") -> "CoefficientTable":
         # one pass converts and checks every entry; the refusals come in the
         # public constructor's order (malformed document, alpha, first bad
         # index), then the first non-finite entry, which JSON cannot spell
@@ -148,7 +149,7 @@ class CoefficientTable:
         return _TABLE_JSON % (json.dumps(self.alpha), f"[\n{body}\n  ]" if items else "[]")
 
     @classmethod
-    def loads(cls, text: str, source: str = "exact") -> "CoefficientTable":
+    def loads(cls, text: str, source: str = "unknown") -> "CoefficientTable":
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -251,6 +251,20 @@ def expand_loop(f, alpha: float, m_max: int, n_max: int, rule=None) -> Coefficie
     return CoefficientTable(alpha=float(alpha), entries=entries, source="extracted")
 
 
+def coefficient_sum_loop(table: CoefficientTable, tol: float = 1e-10) -> float:
+    """The per-entry nonnegativity gate and sum in pure Python: every entry is
+    tested, the offenders sorted by (m, n), the first four named.  This is the
+    gate ``coefficient_sum`` replaced with one numpy pass; it must raise the
+    same ``DomainError`` text and return the same sum, bit for bit."""
+    from discwalk import DomainError
+
+    bad = sorted((key, v) for key, v in table.entries.items() if not (abs(v.imag) <= tol and v.real >= -tol))
+    if bad:
+        head = ", ".join(f"({m},{n})={v}" for (m, n), v in bad[:4])
+        raise DomainError(f"coefficient_sum requires real nonnegative entries; offending: {head}")
+    return float(sum(v.real for v in table.entries.values()))
+
+
 def walk_loop(op: str, table: CoefficientTable):
     """Per-entry dimension walk: one ``c_factor`` call per entry and the public
     constructor.  This is the loop the walk operators replaced; they must

@@ -597,3 +597,26 @@ def test_gram_solves_once_and_prints_the_spectrum_ends(capsys, monkeypatch):
     spec = make_family("aktas", 3, {"t": 0.3})
     evals = eigvalsh(gram_matrix(lambda z: eval_family(spec, z), sample_sphere(3, 30, 5)))
     assert stdout == f"min_eigenvalue {float(evals[0])!r}\nmax_eigenvalue {float(evals[-1])!r}\nPASS\n"
+
+
+@pytest.mark.parametrize("family, params", [
+    ("product", ["--param", "m=2", "--param", "n=1"]),
+    ("poisson", ["--param", "r=0.5"]),
+    ("exponential", []),
+    ("aktas", ["--param", "t=0.3"]),
+])
+def test_expand_output_does_not_depend_on_the_rule_memo(tmp_path, capsys, family, params):
+    def expand_bytes(q, name):
+        out = tmp_path / name
+        rc, stdout, stderr = run(capsys, "expand", "--builtin", family, *params, "--q", str(q),
+                                 "--mmax", "16", "--nmax", "16", "--out", str(out))
+        assert (rc, stderr) == (0, "")
+        return stdout, out.read_bytes()
+
+    for q in (2, 3, 4):
+        quadrature._gauss_jacobi.cache_clear()
+        cold = expand_bytes(q, f"cold{q}.json")
+        assert quadrature._gauss_jacobi.cache_info().misses == 1
+        warm = expand_bytes(q, f"warm{q}.json")
+        assert quadrature._gauss_jacobi.cache_info().hits == 1
+        assert warm == cold

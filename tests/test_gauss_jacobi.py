@@ -2,6 +2,7 @@
 the refusals of ``build_rule``, and the extraction accuracy the rule gives."""
 
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -135,3 +136,68 @@ def test_rule_at_alpha_1e15_keeps_its_nodes_apart():
     rule = build_rule(1e15, 12, 4)
     assert np.all(np.diff(rule.radial_nodes) > 0) and rule.radial_nodes[0] > 0
     assert np.all(rule.radial_weights > 0)
+
+
+# --------------------------------------------------------------------------
+# the per-process rule memo
+
+
+def _bits(arrays) -> list[bytes]:
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 136, 264])
+@pytest.mark.parametrize("alpha", [-0.5, -0.0, 0.0, 1.0, 2.5, 1e3])
+def test_cached_rule_is_bit_equal_to_an_uncached_build(alpha, n):
+    quadrature._gauss_jacobi.cache_clear()
+    try:
+        want = _bits(quadrature._gauss_jacobi.__wrapped__(n, alpha))
+    except DomainError as exc:  # order 264 at alpha = 1e3: a weight underflows
+        for _ in range(2):
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                quadrature._gauss_jacobi(n, alpha)
+        return
+    assert _bits(quadrature._gauss_jacobi(n, alpha)) == want  # built
+    assert _bits(quadrature._gauss_jacobi(n, alpha)) == want  # from the memo
+    assert quadrature._gauss_jacobi.cache_info().hits == 1
+
+
+def test_rules_at_minus_zero_and_zero_are_kept_apart():
+    uncached = quadrature._gauss_jacobi.__wrapped__
+    # the two alphas give different bits, so one shared entry would be wrong
+    assert _bits(uncached(40, -0.0)) != _bits(uncached(40, 0.0))
+    quadrature._gauss_jacobi.cache_clear()
+    build_rule(0.0, 40, 8)
+    rule = build_rule(-0.0, 40, 8)
+    u, w = uncached(40, -0.0)
+    assert repr(rule.alpha) == "-0.0"
+    assert rule.radial_nodes.tobytes() == np.sqrt((1.0 + u) / 2.0).tobytes()
+    assert rule.radial_weights.tobytes() == w.tobytes()
+    assert quadrature._gauss_jacobi.cache_info().currsize == 2
+
+
+def test_shared_radial_weights_are_read_only():
+    rule = build_rule(1.0, 12, 4)
+    with pytest.raises(ValueError):
+        rule.radial_weights[0] = 0.5
+    with pytest.raises(ValueError):
+        rule.radial_weights *= 2.0
+    assert build_rule(1.0, 12, 4).radial_weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_a_refused_rule_is_refused_on_every_call():
+    quadrature._gauss_jacobi.cache_clear()
+    for calls in (1, 2, 3):
+        with pytest.raises(DomainError, match=r"^no radial rule of order 40 at alpha = 1e\+16:"):
+            quadrature._gauss_jacobi(40, 1e16)
+        info = quadrature._gauss_jacobi.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (calls, 0, 0)
+
+
+def test_the_memo_is_bounded():
+    maxsize = quadrature._gauss_jacobi.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 64
+    quadrature._gauss_jacobi.cache_clear()
+    for n in range(1, maxsize + 11):
+        quadrature._gauss_jacobi(n, 0.5)
+    assert quadrature._gauss_jacobi.cache_info().currsize == maxsize

@@ -23,6 +23,7 @@ from discwalk import (
     synthesize,
 )
 from helpers import (
+    coefficient_sum_loop,
     random_table,
     simpson_disk_integral,
     simpson_disk_monomial,
@@ -237,6 +238,37 @@ def test_coefficient_sum_basics():
         coefficient_sum(noisy, tol=1e-13)
 
 
+_NONFINITE = [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, math.inf), complex(math.inf, 0.0)]
+_KEYS = st.tuples(st.integers(0, 12), st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(_KEYS, st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1.0)), max_size=60),
+    st.dictionaries(
+        _KEYS,
+        st.one_of(
+            st.floats(-1e6, 0.0),                                               # negative
+            st.builds(complex, st.floats(0.0, 1.0), st.floats(-1e-9, 1e-9)),     # imaginary
+            st.builds(complex, st.floats(-1e-9, 1e-9), st.floats(-1e-11, 1e-11)),
+            st.sampled_from(_NONFINITE),
+        ),
+        max_size=6,
+    ),
+    st.sampled_from([0.0, 1e-12, 1e-10, 1e-9, 1.0]),
+)
+def test_coefficient_sum_matches_the_per_entry_gate(clean, injected, tol):
+    table = CoefficientTable(alpha=0.5, entries={**clean, **injected})
+    try:
+        want = coefficient_sum_loop(table, tol)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            coefficient_sum(table, tol)
+        assert str(got.value) == str(exc)
+        return
+    assert repr(coefficient_sum(table, tol)) == repr(want)
+
+
 def test_coefficient_sum_exponential_converges_to_e_squared():
     f = lambda z: np.exp(2.0 * np.real(z))
     sums = []
@@ -264,6 +296,17 @@ def test_table_json_round_trip_is_exact():
     back = CoefficientTable.loads(t.dumps())
     assert back.alpha == t.alpha
     assert back.entries == t.entries  # bit-exact floats via repr round trip
+
+
+def test_tables_read_from_a_file_are_of_unknown_source(tmp_path):
+    t = expand(lambda z: np.exp(2.0 * np.real(z)), 0.0, 2, 2)
+    assert t.source == "extracted"
+    path = tmp_path / "t.json"
+    t.save(path)
+    assert CoefficientTable.load(path).source == "unknown"
+    assert CoefficientTable.loads(t.dumps()).source == "unknown"
+    assert CoefficientTable.from_dict(t.to_dict()).source == "unknown"
+    assert CoefficientTable.loads(t.dumps(), source="extracted").source == "extracted"
 
 
 def test_table_json_sorted_and_schema():
