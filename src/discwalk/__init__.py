@@ -14,17 +14,14 @@ _EXPORTS = {
     "errors": "CapacityError ConvergenceError DiscWalkError DomainError NotPositiveDefiniteError",
     "families": "Aktas Exponential FamilySpec Horn Lauricella PoissonSzego ProductKernel"
     " difference_pattern eval_family family_alpha family_coefficients family_from_dict"
-    " family_to_dict make_family poisson_szego_profile sigma_2q",
+    " family_to_dict make_family sigma_2q",
     "positivity": "COUNTEREXAMPLE_EXPECTED IndexSet PdReport Progression SpdVerdict SpherePointSet"
     " counterexample_sets counterexample_table difference_set gram_matrix hermitian_eigenvalues"
     " intersects_progression is_pd is_spd min_eigenvalue sample_sphere spd_verdict",
-    "quadrature": "DiskRule build_rule coefficient_sum default_rule expand extract_coefficient"
-    " integrate synthesize",
-    "special": "BOUNDARY_EPS c_factor disc_norm_h disc_poly disc_poly_at_zero disc_poly_dz"
-    " disc_poly_dzbar jacobi_R jacobi_R_all pochhammer",
+    "quadrature": "DiskRule build_rule coefficient_sum default_rule expand synthesize",
+    "special": "BOUNDARY_EPS disc_norm_h disc_poly disc_poly_at_zero jacobi_R_all pochhammer",
     "tables": "CoefficientTable",
-    "walks": "MonteeResult descente_x descente_z descente_zbar montee_z montee_zbar wirtinger_dz"
-    " wirtinger_dzbar",
+    "walks": "MonteeResult descente_x descente_z descente_zbar montee_z montee_zbar",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

@@ -9,6 +9,11 @@ gram            empirical Gram-matrix eigenvalue check on sampled sphere points
 counterexample  reproduce the walk counterexamples and compare verdicts
 plot-data       CSV samples of a kernel on a Cartesian grid over [-1, 1]^2
 
+Each subcommand accepts only the shared options its handler reads: ``--q``
+(complex sphere parameter) for all but walk, ``--tol`` (numerical
+tolerance) for expand, check and counterexample, and ``--seed`` (RNG seed)
+for gram.
+
 Exit codes: 0 success, 2 usage/domain error, 3 capacity error (quadrature
 rule, residue table, sphere sample, Gram matrix or plot grid budget),
 4 counterexample verdict mismatch, 1 when stdout is closed before the output
@@ -50,7 +55,7 @@ from .positivity import (
     sample_sphere,
     spd_verdict,
 )
-from .quadrature import build_rule, coefficient_sum, default_rule, expand, synthesize
+from .quadrature import coefficient_sum, default_rule, expand, synthesize
 from .tables import CoefficientTable
 from .walks import descente_x, descente_z, descente_zbar, montee_z, montee_zbar
 
@@ -140,15 +145,7 @@ def _function_from_args(args, need_q: bool = True) -> tuple:
 def _cmd_expand(args) -> int:
     spec = _resolve_family(args)
     alpha = family_alpha(spec)
-    if args.radial_order is not None or args.angular_order is not None:
-        deg = args.mmax + args.nmax
-        rule = build_rule(
-            alpha,
-            deg + 8 if args.radial_order is None else args.radial_order,
-            2 * deg + 8 if args.angular_order is None else args.angular_order,
-        )
-    else:
-        rule = default_rule(alpha, args.mmax, args.nmax)
+    rule = default_rule(alpha, args.mmax, args.nmax, args.radial_order, args.angular_order)
     table = expand(lambda z: eval_family(spec, z), alpha, args.mmax, args.nmax, rule)
     total = coefficient_sum(table, tol=args.tol)  # may refuse the table: then no file is written
     table.save(args.out)
@@ -291,12 +288,19 @@ def _add_family_inputs(p: argparse.ArgumentParser, with_table: bool = False) -> 
         p.add_argument("--in", dest="infile", help="coefficient table JSON file")
 
 
-def _subparser(sub, selected: str | None, name: str, help: str) -> argparse.ArgumentParser | None:
+#: the options several subcommands share; each takes the ones its handler reads
+_COMMON = {
+    "q": dict(type=int, default=None, help="complex sphere parameter (q >= 2)"),
+    "tol": dict(type=float, default=1e-10, help="numerical tolerance"),
+    "seed": dict(type=int, default=42, help="RNG seed"),
+}
+
+
+def _subparser(sub, selected: str | None, name: str, help: str, common: str) -> argparse.ArgumentParser | None:
     if selected not in _COMMANDS or selected == name:
         p = sub.add_parser(name, help=help)
-        p.add_argument("--q", type=int, default=None, help="complex sphere parameter (q >= 2)")
-        p.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance")
-        p.add_argument("--seed", type=int, default=42, help="RNG seed")
+        for option in common.split():
+            p.add_argument(f"--{option}", **_COMMON[option])
         return p
 
 
@@ -308,7 +312,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    if p := _subparser(sub, command, "expand", "expand a family into a coefficient table"):
+    if p := _subparser(sub, command, "expand", "expand a family into a coefficient table", "q tol"):
         _add_family_inputs(p)
         p.add_argument("--mmax", type=int, default=8, help="largest z-index m in the table")
         p.add_argument("--nmax", type=int, default=8, help="largest conj(z)-index n in the table")
@@ -317,30 +321,30 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--angular-order", type=int, default=None)
         p.set_defaults(func=_cmd_expand)
 
-    if p := _subparser(sub, command, "walk", "apply a dimension-walk operator"):
+    if p := _subparser(sub, command, "walk", "apply a dimension-walk operator", ""):
         p.add_argument("--op", required=True, choices=sorted(_WALK_OPS))
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", required=True)
         p.set_defaults(func=_cmd_walk)
 
-    if p := _subparser(sub, command, "check", "PD / strict-PD verdict"):
+    if p := _subparser(sub, command, "check", "PD / strict-PD verdict", "q tol"):
         p.add_argument("--in", dest="infile", help="coefficient table JSON file")
         p.add_argument("--set", help="index set JSON (inline or @file)")
         p.add_argument("--threshold", type=float, default=0.0,
                        help="strict positivity threshold for the difference set")
         p.set_defaults(func=_cmd_check)
 
-    if p := _subparser(sub, command, "gram", "Gram matrix eigenvalue check"):
+    if p := _subparser(sub, command, "gram", "Gram matrix eigenvalue check", "q seed"):
         _add_family_inputs(p, with_table=True)
         p.add_argument("--points", type=int, default=40)
         p.set_defaults(func=_cmd_gram)
 
-    if p := _subparser(sub, command, "counterexample", "reproduce walk counterexamples"):
+    if p := _subparser(sub, command, "counterexample", "reproduce walk counterexamples", "q tol"):
         p.add_argument("--case", required=True, choices=["i", "ii", "iii"])
         p.add_argument("--truncation", type=int, default=40)
         p.set_defaults(func=_cmd_counterexample)
 
-    if p := _subparser(sub, command, "plot-data", "CSV grid samples of a kernel"):
+    if p := _subparser(sub, command, "plot-data", "CSV grid samples of a kernel", "q"):
         _add_family_inputs(p, with_table=True)
         p.add_argument("--grid", type=int, default=41)
         p.add_argument("--out", required=True)
@@ -369,7 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DiscWalkError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except BrokenPipeError:  # a closed stdout is console_main's to report
+        raise
+    except (DiscWalkError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -144,7 +144,8 @@ class PoissonSzego(FamilySpec):
         return ((1.0 - self.r**2) ** q / np.abs(1.0 - self.r * z) ** (2 * q) / sigma_2q(q)).astype(complex)
 
     def _profile(self, m_max: int, n_max: int) -> np.ndarray:
-        """The array of ``poisson_szego_profile``."""
+        """Radial profile S_{m,n}(r) = a_{m,n} sigma_2q / h_{m,n} as an array ``S[m, n]``:
+        r^(m+n) 2F1(m, n; m+n+q; r^2) / 2F1(m, n; m+n+q; 1)."""
         m, n = np.arange(m_max + 1)[:, None], np.arange(n_max + 1)[None, :]
         lp = _log_poch(float(self.q), m_max + n_max)
         # 1/2F1(m, n; m+n+q; 1) = (q)_m (q)_n / (q)_{m+n}; its log is exactly 0 where m n = 0
@@ -556,17 +557,6 @@ def family_coefficients(spec: FamilySpec, m_max: int, n_max: int) -> Coefficient
     if m_max < 0 or n_max < 0:
         raise DomainError("coefficient bounds must be nonnegative")
     return CoefficientTable._of_clean(family_alpha(spec), spec.coefficients(m_max, n_max), "exact")
-
-
-def poisson_szego_profile(spec: PoissonSzego, m_max: int, n_max: int) -> dict[tuple[int, int], float]:
-    """Radial profile S_{m,n}(r) = a_{m,n} sigma_2q / h_{m,n} of the Poisson kernel, (m, n)
-    row-major: r^(m+n) 2F1(m, n; m+n+q; r^2) / 2F1(m, n; m+n+q; 1), positive for r > 0 and
-    rising to 1 as r -> 1; S_{0,0} = 1 and S_{1,0} = S_{0,1} = r exactly."""
-    if not isinstance(spec, PoissonSzego):
-        raise DomainError(f"profile is defined for the Poisson kernel, got {spec!r}")
-    if m_max < 0 or n_max < 0:
-        raise DomainError("coefficient bounds must be nonnegative")
-    return _grid_entries(spec._profile(m_max, n_max))
 
 
 def difference_pattern(spec: FamilySpec) -> IndexSet:

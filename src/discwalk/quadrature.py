@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .errors import CapacityError, DiscWalkError, DomainError
-from .special import disc_norm_h, disc_norm_h_rows, disc_poly, ensure_in_disk, jacobi_R_all
+from .special import disc_norm_h_rows, ensure_in_disk, jacobi_R_all
 from .tables import CoefficientTable
 
 
@@ -176,10 +176,14 @@ def build_rule(alpha: float, radial_order: int, angular_order: int) -> DiskRule:
     )
 
 
-def default_rule(alpha: float, m_max: int, n_max: int) -> DiskRule:
-    """Rule sized for exact extraction up to (m_max, n_max), with a safety margin."""
+def default_rule(alpha: float, m_max: int, n_max: int,
+                 radial_order: int | None = None, angular_order: int | None = None) -> DiskRule:
+    """Rule sized for exact extraction up to (m_max, n_max), with a safety margin;
+    an order given explicitly replaces its default."""
     deg = m_max + n_max
-    return build_rule(alpha, deg + 8, 2 * deg + 8)
+    radial = deg + 8 if radial_order is None else radial_order
+    angular = 2 * deg + 8 if angular_order is None else angular_order
+    return build_rule(alpha, radial, angular)
 
 
 def _values_on(f, z: np.ndarray) -> np.ndarray:
@@ -204,23 +208,6 @@ def _values_on(f, z: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def integrate(rule: DiskRule, f) -> complex:
-    """Integral of f over the disk against dnu_alpha; f must accept ndarray input."""
-    vals = _values_on(f, rule.nodes)
-    return complex(np.sum(rule.weights * vals))
-
-
-def extract_coefficient(f, m: int, n: int, rule: DiskRule) -> complex:
-    """Expansion coefficient a_{m,n} = h_{m,n} * int f conj(R_{m,n}) dnu.
-
-    ``f`` must accept ndarray input.
-    """
-    z = rule.nodes
-    vals = _values_on(f, z)
-    basis = disc_poly(m, n, rule.alpha, z)
-    return complex(disc_norm_h(m, n, rule.alpha) * np.sum(rule.weights * vals * np.conj(basis)))
-
-
 def _check_capacity(rule: DiskRule, m_max: int, n_max: int) -> None:
     deg = m_max + n_max
     if rule.radial_order < deg + 2 or rule.angular_order < 2 * deg + 1:
@@ -235,9 +222,9 @@ def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None
     """Extract all coefficients with m <= m_max, n <= n_max of f at parameter alpha.
 
     ``f`` is called once, on the (radial, angular) node grid, and must accept
-    ndarray input.  Equivalent to calling :func:`extract_coefficient` per
-    index, but exploits the tensor structure of the rule: one FFT over the
-    angular nodes gives every Fourier sum (frequency d = m - n in bin
+    ndarray input.  Equivalent to one Gauss sum per index (``expand_loop`` in
+    tests/helpers.py), but exploits the tensor structure of the rule: one FFT
+    over the angular nodes gives every Fourier sum (frequency d = m - n in bin
     d mod K), r^|d| and the radial weights scale the columns of +-|d|, and
     one batched product against Jacobi rows computed for every |d| in a
     single recurrence, each |d| only up to the degree it reads, gives every

@@ -152,14 +152,6 @@ def jacobi_R_all(kmax: int, alpha: float, beta, t, top=None) -> np.ndarray:
     return rows
 
 
-def jacobi_R(k: int, alpha: float, beta: float, t):
-    """Jacobi polynomial of degree k normalized so that the value at 1 is 1."""
-    scalar = np.ndim(t) == 0
-    rows = jacobi_R_all(k, alpha, beta, t)
-    out = rows[k]
-    return float(out[0]) if scalar else out.reshape(np.shape(t))
-
-
 def disc_poly(m: int, n: int, alpha: float, z):
     """Disc polynomial R_{m,n}^alpha at z (scalar or array) in the closed disk."""
     _require_index(m, n, alpha)
@@ -240,31 +232,3 @@ def c_denominator(alpha: float) -> float:
     if not alpha > -1.0:
         raise DomainError(f"parameter must exceed -1, got alpha = {alpha}")
     return alpha + 1.0
-
-
-def c_factor(m: int, n: int, alpha: float) -> float:
-    """Multiplier c_alpha(m, n) = m (n + alpha + 1) / (alpha + 1).
-
-    Appears in the Wirtinger derivative identity
-    D_z R_{m,n}^alpha = c_alpha(m, n) R_{m-1,n}^(alpha+1) and its conjugate.
-    The walk operators in ``walks`` call ``c_denominator`` once and write the
-    product inline per entry; the two must stay bit-equal
-    (tests/test_walk_path.py checks it).
-    """
-    return m * (n + alpha + 1.0) / c_denominator(alpha)
-
-
-def disc_poly_dz(m: int, n: int, alpha: float, z):
-    """Wirtinger z-derivative of R_{m,n}^alpha, via the index-lowering identity."""
-    _require_index(m, n, alpha)
-    if m == 0:
-        arr = ensure_in_disk(z)
-        return 0j if np.ndim(z) == 0 else np.zeros(arr.shape, dtype=complex)
-    return c_factor(m, n, alpha) * disc_poly(m - 1, n, alpha + 1.0, z)
-
-
-def disc_poly_dzbar(m: int, n: int, alpha: float, z):
-    """Wirtinger conj(z)-derivative of R_{m,n}^alpha, taken as D_z R_{n,m} at
-    conj z because R_{m,n}(conj z) = R_{n,m}(z); zero for n = 0."""
-    _require_index(m, n, alpha)
-    return disc_poly_dz(n, m, alpha, np.conj(z))

@@ -74,9 +74,6 @@ class CoefficientTable:
     def get(self, m: int, n: int) -> complex:
         return self.entries.get((m, n), 0j)
 
-    def support(self) -> set[Key]:
-        return set(self.entries)
-
     def sorted_items(self) -> list[tuple[Key, complex]]:
         return sorted(self.entries.items())
 

@@ -9,7 +9,11 @@ between spheres of complex dimension q and q + 1):
     montee:    b_{m,n}  at alpha    =  a_{m-1,n} / c_alpha(m, n)  at alpha+1,  m >= 1
 
 with c_alpha(m, n) = m (n + alpha + 1)/(alpha + 1) > 0 for m >= 1, so both
-transforms preserve entrywise nonnegativity by construction.  The conj(z)
+transforms preserve entrywise nonnegativity by construction (c_alpha is the
+multiplier in D_z R_{m,n}^alpha = c_alpha(m, n) R_{m-1,n}^(alpha+1)).  The
+operators call ``c_denominator`` once and write the product inline per entry,
+bit-equal to one ``c_factor`` call per entry (tests/helpers.py), which
+tests/test_walk_path.py checks.  The conj(z)
 operators follow from R_{m,n}(conj z) = R_{n,m}(z): with the key transpose
 T(m, n) = (n, m), descente_zbar = T∘descente_z∘T and montee_zbar = T∘montee_z∘T
 with the constant unchanged (T keeps the diagonal and its order).  The Montee
@@ -30,7 +34,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .special import c_denominator, disc_poly_at_zero, ensure_in_disk
+from .special import c_denominator, disc_poly_at_zero
 from .tables import CoefficientTable
 
 
@@ -128,20 +132,3 @@ def montee_zbar(table: CoefficientTable) -> MonteeResult:
     """conj(z)-primitive of a table at level alpha+1, expressed at level alpha."""
     result = montee_z(_transpose(table))
     return MonteeResult(table=_transpose(result.table), constant=result.constant)
-
-
-def wirtinger_dz(f, z: complex, h: float = 1e-5) -> complex:
-    """Central-difference Wirtinger z-derivative (D_x f - i D_y f)/2 at an interior point."""
-    if abs(z) + h >= 1.0:
-        raise DomainError(
-            f"finite-difference stencil leaves the disk: |z| + h = {abs(z) + h!r} >= 1"
-        )
-    ensure_in_disk(z)
-    fx = (f(z + h) - f(z - h)) / (2.0 * h)
-    fy = (f(z + 1j * h) - f(z - 1j * h)) / (2.0 * h)
-    return (fx - 1j * fy) / 2.0
-
-
-def wirtinger_dzbar(f, z: complex, h: float = 1e-5) -> complex:
-    """Central-difference Wirtinger conj(z)-derivative: D_z of f(conj w) at conj z."""
-    return wirtinger_dz(lambda w: f(w.conjugate()), z.conjugate(), h)

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's own computational paths:
 Simpson quadrature instead of Gauss-Jacobi, explicit Gamma-function closed
 forms instead of extraction, cyclic complex Jacobi rotations instead of
-LAPACK, so that agreement is a genuine two-route check.
+LAPACK, so that agreement is a genuine two-route check.  The per-value
+references (finite-difference and index-lowering Wirtinger derivatives, one
+Jacobi polynomial, one quadrature sum or coefficient, the Poisson profile)
+are the one-at-a-time forms of what the package computes in bulk.
 """
 
 from __future__ import annotations
@@ -12,7 +15,105 @@ import math
 
 import numpy as np
 
-from discwalk import CoefficientTable
+from discwalk import (
+    Aktas,
+    CoefficientTable,
+    DomainError,
+    Exponential,
+    Horn,
+    Lauricella,
+    PoissonSzego,
+    default_rule,
+    disc_norm_h,
+    disc_poly,
+    disc_poly_at_zero,
+    jacobi_R_all,
+)
+from discwalk.families import _grid_entries
+from discwalk.positivity import SpdVerdict, intersects_progression
+from discwalk.quadrature import DiskRule, _values_on
+from discwalk.special import _require_index, c_denominator, ensure_in_disk
+
+
+def wirtinger_dz(f, z: complex, h: float = 1e-5) -> complex:
+    """Central-difference Wirtinger z-derivative (D_x f - i D_y f)/2 at an interior point."""
+    if abs(z) + h >= 1.0:
+        raise DomainError(
+            f"finite-difference stencil leaves the disk: |z| + h = {abs(z) + h!r} >= 1"
+        )
+    ensure_in_disk(z)
+    fx = (f(z + h) - f(z - h)) / (2.0 * h)
+    fy = (f(z + 1j * h) - f(z - 1j * h)) / (2.0 * h)
+    return (fx - 1j * fy) / 2.0
+
+
+def wirtinger_dzbar(f, z: complex, h: float = 1e-5) -> complex:
+    """Central-difference Wirtinger conj(z)-derivative: D_z of f(conj w) at conj z."""
+    return wirtinger_dz(lambda w: f(w.conjugate()), z.conjugate(), h)
+
+
+def jacobi_R(k: int, alpha: float, beta: float, t):
+    """Jacobi polynomial of degree k normalized so that the value at 1 is 1."""
+    scalar = np.ndim(t) == 0
+    rows = jacobi_R_all(k, alpha, beta, t)
+    out = rows[k]
+    return float(out[0]) if scalar else out.reshape(np.shape(t))
+
+
+def c_factor(m: int, n: int, alpha: float) -> float:
+    """Multiplier c_alpha(m, n) = m (n + alpha + 1) / (alpha + 1).
+
+    Appears in the Wirtinger derivative identity
+    D_z R_{m,n}^alpha = c_alpha(m, n) R_{m-1,n}^(alpha+1) and its conjugate.
+    The walk operators in ``discwalk.walks`` call ``c_denominator`` once and
+    write the product inline per entry; the two must stay bit-equal
+    (tests/test_walk_path.py checks it).
+    """
+    return m * (n + alpha + 1.0) / c_denominator(alpha)
+
+
+def disc_poly_dz(m: int, n: int, alpha: float, z):
+    """Wirtinger z-derivative of R_{m,n}^alpha, via the index-lowering identity."""
+    _require_index(m, n, alpha)
+    if m == 0:
+        arr = ensure_in_disk(z)
+        return 0j if np.ndim(z) == 0 else np.zeros(arr.shape, dtype=complex)
+    return c_factor(m, n, alpha) * disc_poly(m - 1, n, alpha + 1.0, z)
+
+
+def disc_poly_dzbar(m: int, n: int, alpha: float, z):
+    """Wirtinger conj(z)-derivative of R_{m,n}^alpha, taken as D_z R_{n,m} at
+    conj z because R_{m,n}(conj z) = R_{n,m}(z); zero for n = 0."""
+    _require_index(m, n, alpha)
+    return disc_poly_dz(n, m, alpha, np.conj(z))
+
+
+def integrate(rule: DiskRule, f) -> complex:
+    """Integral of f over the disk against dnu_alpha; f must accept ndarray input."""
+    vals = _values_on(f, rule.nodes)
+    return complex(np.sum(rule.weights * vals))
+
+
+def extract_coefficient(f, m: int, n: int, rule: DiskRule) -> complex:
+    """Expansion coefficient a_{m,n} = h_{m,n} * int f conj(R_{m,n}) dnu.
+
+    ``f`` must accept ndarray input.
+    """
+    z = rule.nodes
+    vals = _values_on(f, z)
+    basis = disc_poly(m, n, rule.alpha, z)
+    return complex(disc_norm_h(m, n, rule.alpha) * np.sum(rule.weights * vals * np.conj(basis)))
+
+
+def poisson_szego_profile(spec: PoissonSzego, m_max: int, n_max: int) -> dict[tuple[int, int], float]:
+    """Radial profile S_{m,n}(r) = a_{m,n} sigma_2q / h_{m,n} of the Poisson kernel, (m, n)
+    row-major: r^(m+n) 2F1(m, n; m+n+q; r^2) / 2F1(m, n; m+n+q; 1), positive for r > 0 and
+    rising to 1 as r -> 1; S_{0,0} = 1 and S_{1,0} = S_{0,1} = r exactly."""
+    if not isinstance(spec, PoissonSzego):
+        raise DomainError(f"profile is defined for the Poisson kernel, got {spec!r}")
+    if m_max < 0 or n_max < 0:
+        raise DomainError("coefficient bounds must be nonnegative")
+    return _grid_entries(spec._profile(m_max, n_max))
 
 
 def simpson_1d(f, a: float, b: float, panels: int) -> complex:
@@ -93,8 +194,6 @@ def product_coefficient_closed(q: int, m: int, n: int, j: int) -> float:
         int z^{mu+j} conj(z)^{nu+j} conj(R_{mu,nu}) dnu_alpha
             = Gamma(alpha+2) (mu+j)! (nu+j)! / (j! Gamma(mu+nu+j+alpha+2)).
     """
-    from discwalk import disc_norm_h
-
     alpha = q - 2.0
     mu, nu = m - j, n - j
     lg = math.lgamma
@@ -207,8 +306,6 @@ def synthesize_loop(table: CoefficientTable, z: np.ndarray) -> np.ndarray:
     each up to the largest degree d itself reads, and the frequencies added in
     table order.  This is the loop ``synthesize`` replaced when d and -d came
     to share a recurrence; it must reproduce it exactly.  ``z`` is 1-d."""
-    from discwalk import jacobi_R_all
-
     t = np.clip(2.0 * np.abs(z) ** 2 - 1.0, -1.0, 1.0)
     by_freq: dict = {}
     for (m, n), v in table.entries.items():
@@ -229,8 +326,6 @@ def expand_loop(f, alpha: float, m_max: int, n_max: int, rule=None) -> Coefficie
     Gauss sum and one ``disc_norm_h`` per (m, n), with the angular sums as a
     direct DFT.  This is the loop ``expand`` replaced; the FFT version must
     reproduce it within rounding (tests/test_extraction_path.py)."""
-    from discwalk import default_rule, disc_norm_h, jacobi_R_all
-
     if rule is None:
         rule = default_rule(alpha, m_max, n_max)
     vals = np.asarray(f(rule.grid()), dtype=complex)
@@ -256,8 +351,6 @@ def coefficient_sum_loop(table: CoefficientTable, tol: float = 1e-10) -> float:
     tested, the offenders sorted by (m, n), the first four named.  This is the
     gate ``coefficient_sum`` replaced with one numpy pass; it must raise the
     same ``DomainError`` text and return the same sum, bit for bit."""
-    from discwalk import DomainError
-
     bad = sorted((key, v) for key, v in table.entries.items() if not (abs(v.imag) <= tol and v.real >= -tol))
     if bad:
         head = ", ".join(f"({m},{n})={v}" for (m, n), v in bad[:4])
@@ -270,8 +363,6 @@ def walk_loop(op: str, table: CoefficientTable):
     constructor.  This is the loop the walk operators replaced; they must
     reproduce it exactly.  ``op`` is dz, dzbar, dx, iz or izbar; iz and izbar
     return ``(table, constant)``."""
-    from discwalk.special import c_factor, disc_poly_at_zero
-
     a = table.alpha
     items = table.entries.items()
     if op == "dz":
@@ -304,8 +395,6 @@ def spd_verdict_loop(s):
     in ascending order over N = 1 .. L (|F| + 1), L the lcm of the steps: a set
     that misses a class at all misses one by then.  ``spd_verdict`` must give
     the same verdict and the same smallest witness."""
-    from discwalk.positivity import SpdVerdict, intersects_progression
-
     if any(abs(p.step) == 1 for p in s.progressions):
         return SpdVerdict.certified_exact("step-1 progression")
     L = math.lcm(*(abs(p.step) for p in s.progressions))
@@ -317,8 +406,6 @@ def spd_verdict_loop(s):
 
 
 def _exponential_coefficient(q: int, m: int, n: int) -> float:
-    from discwalk import disc_norm_h
-
     # a_{m,n} = h_{m,n}^{q-2} (q-1)! sum_j 1/(j! (m+n+q-1+j)!)
     #         = h (q-1)!/nu! * sum_j nu!/(j! (nu+j)!),  nu = m+n+q-1; the prefactor
     # is taken in log space so that no factorial overflows, and the inner sum
@@ -347,8 +434,6 @@ def family_coefficients_loop(spec, m_max: int, n_max: int) -> CoefficientTable:
     one inner series and five ``lgamma`` calls per entry, and the public
     constructor.  These are the loops ``family_coefficients`` replaced; its
     tables must reproduce them exactly."""
-    from discwalk import Aktas, Exponential, Horn, Lauricella
-
     q = spec.q
     alpha = float(q - 2)
     entries: dict[tuple[int, int], complex] = {}

@@ -29,11 +29,8 @@ from discwalk import (
     descente_zbar,
     disc_norm_h,
     disc_poly,
-    disc_poly_dz,
-    disc_poly_dzbar,
     eval_family,
     expand,
-    extract_coefficient,
     family_coefficients,
     gram_matrix,
     min_eigenvalue,
@@ -45,7 +42,14 @@ from discwalk import (
     synthesize,
 )
 from discwalk import cli
-from helpers import random_table, table_max_diff, uniform_disk_points
+from helpers import (
+    disc_poly_dz,
+    disc_poly_dzbar,
+    extract_coefficient,
+    random_table,
+    table_max_diff,
+    uniform_disk_points,
+)
 
 
 @contextmanager

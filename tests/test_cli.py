@@ -13,8 +13,11 @@ import discwalk.quadrature as quadrature
 from discwalk import (
     CoefficientTable,
     Exponential,
+    build_rule,
+    coefficient_sum,
     counterexample_table,
     eval_family,
+    expand,
     family_coefficients,
     gram_matrix,
     make_family,
@@ -134,6 +137,27 @@ def test_expand_refused_by_the_coefficient_sum_writes_no_table(tmp_path, capsys)
     assert stderr.startswith("error: coefficient_sum requires real nonnegative entries")
     assert stderr.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("orders", [
+    [],
+    ["--radial-order", "30"],
+    ["--angular-order", "40"],
+    ["--radial-order", "30", "--angular-order", "40"],
+])
+def test_expand_orders_default_to_degree_plus_8_and_twice_degree_plus_8(orders, tmp_path, capsys):
+    out = tmp_path / "t.json"
+    rc, stdout, stderr = run(
+        capsys, "expand", "--builtin", "exponential", "--q", "3",
+        "--mmax", "6", "--nmax", "5", *orders, "--out", str(out),
+    )
+    assert (rc, stderr) == (0, "")
+    given = dict(zip(orders[::2], map(int, orders[1::2])))
+    rule = build_rule(1.0, given.get("--radial-order", 11 + 8), given.get("--angular-order", 2 * 11 + 8))
+    spec = Exponential(q=3)
+    table = expand(lambda z: eval_family(spec, z), 1.0, 6, 5, rule)
+    assert out.read_text() == table.dumps()
+    assert stdout.splitlines()[0] == f"coefficient_sum {coefficient_sum(table)!r}"
 
 
 @pytest.mark.parametrize("op, key", [("dz", "(4, 5)"), ("dzbar", "(5, 4)"), ("dx", "(4, 5)")])
@@ -481,7 +505,7 @@ def test_star_import_binds_exactly_all():
         "import discwalk\nns = {}\nexec('from discwalk import *', ns)\n"
         "print(sorted(set(ns) - {'__builtins__'}) == sorted(discwalk.__all__), len(discwalk.__all__))\n"
     )
-    assert out.splitlines()[-1] == "True 65"
+    assert out.splitlines()[-1] == "True 56"
 
 
 def test_each_export_is_its_submodule_object():
@@ -541,6 +565,60 @@ def test_closed_stdout_exits_one_without_a_message():
 def test_usage_error_exit_code():
     assert cli.main(["walk", "--op", "bogus", "--in", "x", "--out", "y"]) == 2
     assert cli.main([]) == 2
+
+
+_EXPONENTIAL = ["--builtin", "exponential", "--q", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--in", "DIR"],
+    ["check", "--set", "@DIR"],
+    ["plot-data", *_EXPONENTIAL, "--grid", "5", "--out", "DIR"],
+    ["check", "--in", "BINARY"],
+    ["walk", "--op", "dz", "--in", "BINARY", "--out", "OUT"],
+])
+def test_a_directory_or_non_utf8_file_exits_2_with_one_line(argv, tmp_path, capsys):
+    folder, binary, out = tmp_path / "d", tmp_path / "b.json", tmp_path / "out"
+    folder.mkdir()
+    binary.write_bytes(b'{"alpha": \xff}')
+    paths = {"DIR": str(folder), "@DIR": f"@{folder}", "BINARY": str(binary), "OUT": str(out)}
+    rc, stdout, stderr = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert (rc, stdout) == (2, "")
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: "), stderr
+    assert not out.exists() and not any(folder.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--op", "dz", "--in", "TABLE", "--out", "OUT", "--seed", "1"],
+    ["walk", "--op", "dz", "--in", "TABLE", "--out", "OUT", "--q", "3"],
+    ["walk", "--op", "dz", "--in", "TABLE", "--out", "OUT", "--tol", "1e-9"],
+    ["expand", *_EXPONENTIAL, "--mmax", "2", "--nmax", "2", "--out", "OUT", "--seed", "1"],
+    ["check", "--set", '{"finite": [0]}', "--seed", "1"],
+    ["counterexample", "--case", "i", "--q", "2", "--seed", "1"],
+    ["gram", *_EXPONENTIAL, "--points", "4", "--tol", "1e-9"],
+    ["plot-data", *_EXPONENTIAL, "--grid", "5", "--out", "OUT", "--tol", "1e-9"],
+    ["plot-data", *_EXPONENTIAL, "--grid", "5", "--out", "OUT", "--seed", "1"],
+])
+def test_an_option_the_handler_does_not_read_is_refused(argv, tmp_path, capsys):
+    table, out = tmp_path / "t.json", tmp_path / "out"
+    CoefficientTable(alpha=0.0, entries={(1, 0): 1.0}).save(table)
+    rc, stdout, stderr = run(capsys, *({"TABLE": str(table), "OUT": str(out)}.get(arg, arg) for arg in argv))
+    assert (rc, stdout) == (2, "")
+    assert stderr.endswith(f"error: unrecognized arguments: {argv[-2]} {argv[-1]}\n"), stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", [
+    "c_factor", "disc_poly_dz", "disc_poly_dzbar", "extract_coefficient", "integrate",
+    "jacobi_R", "poisson_szego_profile", "wirtinger_dz", "wirtinger_dzbar",
+])
+def test_test_only_references_are_not_exported(name):
+    import discwalk
+
+    assert name not in discwalk.__all__
+    assert name not in dir(discwalk)
+    with pytest.raises(AttributeError):
+        getattr(discwalk, name)
 
 
 def test_verdict_commands_have_no_search_bound(capsys):

@@ -36,6 +36,7 @@ from discwalk.families import _horn_h4, _lauricella_f14
 from helpers import (
     horn_h4_oracle,
     lauricella_f14_oracle,
+    poisson_szego_profile,
     product_coefficient_closed,
     uniform_disk_points,
 )
@@ -270,7 +271,7 @@ def test_poisson_at_r_zero_is_the_constant(q):
 
 
 def test_removed_knobs_are_refused():
-    from discwalk import difference_set, poisson_szego_profile
+    from discwalk import difference_set
 
     spec = PoissonSzego(r=0.5, q=2)
     with pytest.raises(TypeError):
@@ -331,8 +332,6 @@ def test_horn_series_against_mpmath_hyper2d():
 def test_poisson_profile_closed_anchors():
     # For q = 2 the geometric expansion of |1-rz|^{-4} gives S_{0,0}(r) = 1 and
     # S_{1,0}(r) = r exactly, independent of r.
-    from discwalk import poisson_szego_profile
-
     for r in (0.3, 0.5):
         prof = poisson_szego_profile(PoissonSzego(r=r, q=2), 4, 4)
         assert list(prof) == [(m, n) for m in range(5) for n in range(5)]
@@ -397,8 +396,6 @@ def test_poisson_sum_past_the_float_range_is_rescaled_exactly():
 
 
 def test_poisson_profile_requires_poisson_spec():
-    from discwalk import poisson_szego_profile
-
     with pytest.raises(DomainError):
         poisson_szego_profile(Exponential(q=2), 3, 3)
 

@@ -18,12 +18,12 @@ from discwalk import (
     default_rule,
     disc_poly,
     expand,
-    extract_coefficient,
-    integrate,
     synthesize,
 )
 from helpers import (
     coefficient_sum_loop,
+    extract_coefficient,
+    integrate,
     random_table,
     simpson_disk_integral,
     simpson_disk_monomial,

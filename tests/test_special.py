@@ -10,19 +10,21 @@ from hypothesis import strategies as st
 
 from discwalk import (
     DomainError,
-    c_factor,
     disc_norm_h,
     disc_poly,
     disc_poly_at_zero,
+    jacobi_R_all,
+    pochhammer,
+)
+from helpers import (
+    c_factor,
     disc_poly_dz,
     disc_poly_dzbar,
     jacobi_R,
-    jacobi_R_all,
-    pochhammer,
+    uniform_disk_points,
     wirtinger_dz,
     wirtinger_dzbar,
 )
-from helpers import uniform_disk_points
 
 ALPHAS = [0.0, 1.0, 2.0, 2.5]
 

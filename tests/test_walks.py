@@ -22,10 +22,8 @@ from discwalk import (
     montee_z,
     montee_zbar,
     synthesize,
-    wirtinger_dz,
-    wirtinger_dzbar,
 )
-from helpers import random_table, table_max_diff, uniform_disk_points
+from helpers import random_table, table_max_diff, uniform_disk_points, wirtinger_dz, wirtinger_dzbar
 
 
 def test_descente_z_single_entry():
