@@ -17,9 +17,9 @@ for gram.
 Exit codes: 0 success, 2 usage/domain error, 3 capacity error (quadrature
 rule, residue table, sphere sample, Gram matrix or plot grid budget),
 4 counterexample verdict mismatch, 1 when stdout is closed before the output
-is written, with no message.  Verdicts
-themselves are data and exit 0.  No refused command leaves its --out file.
-All outputs are deterministic given flags and seed.
+is written, with no message.  Verdicts themselves are data and exit 0.  No
+refused command leaves its --out file; expand and plot-data refuse an --out
+that open cannot write before they evaluate.  Outputs are deterministic.
 
 ``main(argv)`` can be called repeatedly in one process: it builds each
 subcommand's parser once, on first use, and reuses it after that.
@@ -57,7 +57,7 @@ from .positivity import (
 )
 from .quadrature import coefficient_sum, default_rule, expand, synthesize
 from .tables import CoefficientTable
-from .walks import descente_x, descente_z, descente_zbar, montee_z, montee_zbar
+from .walks import _descente_sum, descente_x, descente_z, descente_zbar, montee_z, montee_zbar
 
 #: largest grid**2 of plot-data (grid <= 1024): its rows are Python strings, 370 MB peak RSS there
 _GRID_BUDGET = 2**20
@@ -126,6 +126,13 @@ def _table_q(table: CoefficientTable, q: int | None) -> int:
     return int(round(derived))
 
 
+def _refuse_unusable_out(path: str) -> None:
+    """Raise at once the OSError that writing ``path`` would raise after the work,
+    if ``path`` is empty or a directory or its parent is not one; ``open`` then creates nothing."""
+    if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        open(path, "w").close()
+
+
 def _function_from_args(args, need_q: bool = True) -> tuple:
     """(callable on disk points, q or None) from --in table or a family spec."""
     if getattr(args, "infile", None):
@@ -144,6 +151,7 @@ def _function_from_args(args, need_q: bool = True) -> tuple:
 
 def _cmd_expand(args) -> int:
     spec = _resolve_family(args)
+    _refuse_unusable_out(args.out)
     alpha = family_alpha(spec)
     rule = default_rule(alpha, args.mmax, args.nmax, args.radial_order, args.angular_order)
     table = expand(lambda z: eval_family(spec, z), alpha, args.mmax, args.nmax, rule)
@@ -216,12 +224,9 @@ def _cmd_counterexample(args) -> int:
     table, base_set = counterexample_table(args.case, q, args.truncation)
     sets = counterexample_sets(args.case)
     expected = COUNTEREXAMPLE_EXPECTED[args.case]
-    walked = {
-        "f": table,
-        "dz": descente_z(table),
-        "dzbar": descente_zbar(table),
-        "dx": descente_x(table),
-    }
+    dz, dzbar = descente_z(table), descente_zbar(table)
+    # D_z is reported too, so D_x adds into a copy of its entries
+    walked = {"f": table, "dz": dz, "dzbar": dzbar, "dx": _descente_sum(dict(dz.entries), dzbar)}
     verdicts = {}
     pd_flags = {}
     match = True
@@ -252,6 +257,7 @@ def _cmd_plot_data(args) -> int:
     if args.grid**2 > _GRID_BUDGET:
         raise CapacityError(f"--grid {args.grid} exceeds the budget of {_GRID_BUDGET} grid points")
     f, _q = _function_from_args(args, need_q=False)
+    _refuse_unusable_out(args.out)
     axis = np.linspace(-1.0, 1.0, args.grid)
     xs = np.repeat(axis, args.grid)
     ys = np.tile(axis, args.grid)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, DomainError, NotPositiveDefiniteError
-from .quadrature import _values_on
+from .quadrature import _values_on, nonnegativity_gate
 from .tables import CoefficientTable, read_index
 
 
@@ -275,7 +275,7 @@ class PdReport:
 
 def is_pd(table: CoefficientTable, tol: float = 1e-10) -> PdReport:
     """Nonnegativity gate: every entry must have |Im| <= tol and Re >= -tol."""
-    violations = table.nonnegativity_violations(tol)
+    _, violations = nonnegativity_gate(table, tol)
     return PdReport(ok=not violations, violations=violations)
 
 
@@ -499,10 +499,8 @@ def counterexample_table(case: str, q: int, truncation: int) -> tuple[Coefficien
     if truncation > _TRUNCATION_BUDGET:
         raise CapacityError(f"truncation {truncation} exceeds the counterexample budget of {_TRUNCATION_BUDGET}")
     m_axis, n_axis = _AXES[case]
-    entries: dict[tuple[int, int], complex] = {}
-    for m in m_axis.elements_within(truncation):
-        entries[(int(m), 0)] = complex(2.0 ** (-int(m)))
-    for n in n_axis.elements_within(truncation):
-        entries[(0, int(n))] = complex(2.0 ** (-int(n)))
-    table = CoefficientTable(alpha=float(q - 2), entries=entries)
+    entries = {(m, 0): complex(2.0**-m) for m in m_axis.elements_within(truncation).tolist()}
+    for n in n_axis.elements_within(truncation).tolist():
+        entries[(0, n)] = complex(2.0**-n)
+    table = CoefficientTable._of_clean(float(q - 2), entries, "exact")
     return table, _axis_difference(m_axis, n_axis)

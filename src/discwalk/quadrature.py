@@ -143,7 +143,7 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         log_w = -np.log((1.0 - u) * (1.0 + u)) - 2.0 * np.log(np.abs(d[:, :width])).sum(axis=1)
         w = np.exp(log_w - log_w.max())
         w /= w.sum()
-    if not (-1.0 < u[0] and u[-1] < 1.0 and np.all(np.diff(u) > 0) and np.all(np.isfinite(w) & (w > 0))):
+    if not (-1.0 < u[0] and u[-1] < 1.0 and np.all(np.diff(u) > 0) and np.all(np.isfinite(w) & (w >= 0))):
         raise DomainError(
             f"no radial rule of order {n} at alpha = {alpha!r}: its nodes or weights "
             "degenerate in floating point"
@@ -308,6 +308,15 @@ def synthesize(table: CoefficientTable, z):
     return complex(out.ravel()[0]) if scalar else out
 
 
+def nonnegativity_gate(table: CoefficientTable, tol: float) -> tuple[np.ndarray, list]:
+    """The entries as one array, and those with |Im| > tol, Re < -tol or a NaN:
+    one numpy pass, then the sorted per-entry scan only if that pass fails."""
+    vals = np.fromiter(table.entries.values(), dtype=complex, count=len(table.entries))
+    if ((np.abs(vals.imag) <= tol) & (vals.real >= -tol)).all():
+        return vals, []
+    return vals, table.nonnegativity_violations(tol)
+
+
 def coefficient_sum(table: CoefficientTable, tol: float = 1e-10) -> float:
     """Sum of the (real, nonnegative) coefficients of a table.
 
@@ -316,9 +325,8 @@ def coefficient_sum(table: CoefficientTable, tol: float = 1e-10) -> float:
     diagnostic for truncations.  Entries with imaginary part beyond ``tol`` or
     real part below ``-tol``, and NaN entries, are rejected.
     """
-    vals = np.fromiter(table.entries.values(), dtype=complex, count=len(table.entries))
-    if not np.all((np.abs(vals.imag) <= tol) & (vals.real >= -tol)):
-        bad = table.nonnegativity_violations(tol)
+    vals, bad = nonnegativity_gate(table, tol)
+    if bad:
         head = ", ".join(f"({m},{n})={v}" for m, n, v in bad[:4])
         raise DomainError(f"coefficient_sum requires real nonnegative entries; offending: {head}")
     # Python's sum of the list, so the total keeps the bits of a sum in table order

@@ -13,12 +13,12 @@ transforms preserve entrywise nonnegativity by construction (c_alpha is the
 multiplier in D_z R_{m,n}^alpha = c_alpha(m, n) R_{m-1,n}^(alpha+1)).  The
 operators call ``c_denominator`` once and write the product inline per entry,
 bit-equal to one ``c_factor`` call per entry (tests/helpers.py), which
-tests/test_walk_path.py checks.  The conj(z)
-operators follow from R_{m,n}(conj z) = R_{n,m}(z): with the key transpose
-T(m, n) = (n, m), descente_zbar = T∘descente_z∘T and montee_zbar = T∘montee_z∘T
-with the constant unchanged (T keeps the diagonal and its order).  The Montee
-(primitive) operators are implemented only on coefficient space -- that
-transform is exact, whereas numerical antidifferentiation is not; the
+tests/test_walk_path.py checks.  There is one operator per direction, lowering
+(Descente) and raising (Montee), and it takes the index it moves: m for z, n
+for conj(z).  By R_{m,n}(conj z) = R_{n,m}(z) a conj(z) operator is its z twin
+with m and n exchanged, which keeps the diagonal and so the Montee constant.
+The Montee (primitive) operators are implemented only on coefficient space --
+that transform is exact, whereas numerical antidifferentiation is not; the
 function-space definition is validated through the round trips
 descente(montee(T)) = T.
 
@@ -38,34 +38,38 @@ from .special import c_denominator, disc_poly_at_zero
 from .tables import CoefficientTable
 
 
-def descente_z(table: CoefficientTable) -> CoefficientTable:
-    """Coefficient table of D_z f at level alpha + 1; m = 0 entries have no image."""
+def _lower(table: CoefficientTable, index: str) -> CoefficientTable:
+    """One Descente pass to alpha + 1: ``index`` ("m" or "n") drops by one; where it is 0, no image."""
     alpha = table.alpha
     a1 = c_denominator(alpha)
-    entries = {
-        (m - 1, n): m * (n + alpha + 1.0) / a1 * v
-        for (m, n), v in table.entries.items()
-        if m >= 1
-    }
+    items = table.entries.items()
+    if index == "m":
+        entries = {(m - 1, n): m * (n + alpha + 1.0) / a1 * v for (m, n), v in items if m >= 1}
+    else:
+        entries = {(m, n - 1): n * (m + alpha + 1.0) / a1 * v for (m, n), v in items if n >= 1}
     return CoefficientTable._of_clean(alpha + 1.0, entries, table.source)
 
 
-def _transpose(table: CoefficientTable) -> CoefficientTable:
-    entries = {(n, m): v for (m, n), v in table.entries.items()}
-    return CoefficientTable._of_clean(table.alpha, entries, table.source)
+def descente_z(table: CoefficientTable) -> CoefficientTable:
+    """Coefficient table of D_z f at level alpha + 1; m = 0 entries have no image."""
+    return _lower(table, "m")
 
 
 def descente_zbar(table: CoefficientTable) -> CoefficientTable:
     """Coefficient table of D_zbar f at level alpha + 1; n = 0 entries have no image."""
-    return _transpose(descente_z(_transpose(table)))
+    return _lower(table, "n")
+
+
+def _descente_sum(dz_entries: dict, dzbar: CoefficientTable) -> CoefficientTable:
+    """D_x = D_z + D_zbar, the D_zbar table added into ``dz_entries`` (pass a copy to keep them)."""
+    for key, v in dzbar.entries.items():
+        dz_entries[key] = dz_entries.get(key, 0j) + v
+    return CoefficientTable._of_clean(dzbar.alpha, dz_entries, dzbar.source)
 
 
 def descente_x(table: CoefficientTable) -> CoefficientTable:
     """Coefficient table of D_x f = D_z f + D_zbar f at level alpha + 1."""
-    entries = descente_z(table).entries
-    for key, v in descente_zbar(table).entries.items():
-        entries[key] = entries.get(key, 0j) + v
-    return CoefficientTable._of_clean(table.alpha + 1.0, entries, table.source)
+    return _descente_sum(descente_z(table).entries, descente_zbar(table))
 
 
 @dataclass
@@ -101,18 +105,19 @@ class MonteeResult:
         return cls.from_dict(doc)
 
 
-def montee_z(table: CoefficientTable) -> MonteeResult:
-    """z-primitive of a table at level alpha+1, expressed at level alpha = alpha+1-1."""
+def _raise(table: CoefficientTable, index: str) -> MonteeResult:
+    """One Montee pass from alpha + 1 to alpha: ``index`` ("m" or "n") rises by one."""
     alpha = table.alpha - 1.0
     if not alpha > -1.0:
         raise DomainError(
             f"montee target parameter alpha = {alpha} must exceed -1 (input table at {table.alpha})"
         )
     a1 = c_denominator(alpha)
-    entries = {
-        (m + 1, n): v / ((m + 1) * (n + alpha + 1.0) / a1)
-        for (m, n), v in table.entries.items()
-    }
+    items = table.entries.items()
+    if index == "m":
+        entries = {(m + 1, n): v / ((m + 1) * (n + alpha + 1.0) / a1) for (m, n), v in items}
+    else:
+        entries = {(m, n + 1): v / ((n + 1) * (m + alpha + 1.0) / a1) for (m, n), v in items}
     # constant = -(sum of diagonal entries weighted by the origin values);
     # off-diagonal entries vanish at 0, so only (n, n) with n >= 1 contribute.
     acc = 0j
@@ -128,7 +133,11 @@ def montee_z(table: CoefficientTable) -> MonteeResult:
     return MonteeResult(table=out, constant=float(acc.real))
 
 
+def montee_z(table: CoefficientTable) -> MonteeResult:
+    """z-primitive of a table at level alpha+1, expressed at level alpha = alpha+1-1."""
+    return _raise(table, "m")
+
+
 def montee_zbar(table: CoefficientTable) -> MonteeResult:
     """conj(z)-primitive of a table at level alpha+1, expressed at level alpha."""
-    result = montee_z(_transpose(table))
-    return MonteeResult(table=_transpose(result.table), constant=result.constant)
+    return _raise(table, "n")

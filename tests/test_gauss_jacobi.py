@@ -132,6 +132,23 @@ def test_rule_whose_nodes_coincide_is_refused_without_warnings(alpha, order):
     )
 
 
+@pytest.mark.parametrize("order", [240, 264])
+def test_rule_at_alpha_1000_keeps_the_weights_that_underflow_to_zero(order):
+    # the nodes stay apart, but the weights of the nodes nearest +1 fall below
+    # the smallest subnormal: such a rule is still exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = build_rule(1000.0, order, 4)
+    r, w = rule.radial_nodes, rule.radial_weights
+    assert np.all(np.diff(r) > 0) and 0 < r[0] and r[-1] < 1
+    assert np.all(np.isfinite(w) & (w >= 0)) and np.any(w == 0)
+    assert w.sum() == pytest.approx(1.0, abs=1e-15)
+    # the first two moments of (1-u)^1000 on [-1, 1], u = 2x - 1 with x ~ Beta(1, 1001)
+    u = 2.0 * r**2 - 1.0
+    assert w @ u == pytest.approx(2 / 1002 - 1, abs=1e-14)
+    assert w @ u**2 == pytest.approx(1 - 4 / 1002 + 8 / (1002 * 1003), abs=1e-14)
+
+
 def test_rule_at_alpha_1e15_keeps_its_nodes_apart():
     rule = build_rule(1e15, 12, 4)
     assert np.all(np.diff(rule.radial_nodes) > 0) and rule.radial_nodes[0] > 0

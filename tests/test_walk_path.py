@@ -1,6 +1,7 @@
-"""The coefficient-space request path: walks against the per-entry reference,
-the one-pass table reader, the residue-set SPD scan and the plot-data row
-formatting."""
+"""The coefficient-space request path: walks against the per-entry reference
+and one table per walk pass, the one-pass table reader, the one nonnegativity
+gate, the residue-set SPD scan, the plot-data row formatting and the early
+refusal of an unusable --out."""
 
 import json
 
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import discwalk.positivity as positivity
+import discwalk.quadrature as quadrature
+import discwalk.walks as walks
 from discwalk import (
     CoefficientTable,
     DomainError,
@@ -26,7 +29,7 @@ from discwalk import (
     montee_zbar,
     spd_verdict,
 )
-from helpers import spd_verdict_loop, walk_loop
+from helpers import coefficient_sum_loop, spd_verdict_loop, walk_loop
 
 # 1/3 and 2/3 are alphas where n + alpha + 1.0 rounds differently from
 # n + (alpha + 1.0) at small n, so they pin the order of c_alpha's additions
@@ -103,6 +106,45 @@ def test_descente_still_refuses_an_alpha_at_or_below_minus_one():
         descente_z(table)
     with pytest.raises(DomainError, match="exceed -1"):
         descente_zbar(table)
+
+
+def _count_tables(monkeypatch) -> list:
+    """The alpha of every table ``CoefficientTable._of_clean`` builds from now on."""
+    made = []
+    of_clean = CoefficientTable._of_clean.__func__
+
+    def counting(cls, alpha, entries, source):
+        made.append(alpha)
+        return of_clean(cls, alpha, entries, source)
+
+    monkeypatch.setattr(CoefficientTable, "_of_clean", classmethod(counting))
+    return made
+
+
+@pytest.mark.parametrize("op, tables", [("dz", 1), ("dzbar", 1), ("dx", 3), ("iz", 1), ("izbar", 1)])
+def test_each_walk_pass_builds_one_table(op, tables, monkeypatch):
+    table = _mixed_table(1.0)
+    made = _count_tables(monkeypatch)
+    {**DESCENTE, **MONTEE}[op](table)
+    assert len(made) == tables
+
+
+@pytest.mark.parametrize("case", ["i", "ii", "iii"])
+def test_counterexample_builds_three_walk_tables(case, monkeypatch, capsys):
+    made = _count_tables(monkeypatch)
+    assert cli.main(["counterexample", "--case", case, "--q", "3", "--truncation", "40"]) == 0
+    capsys.readouterr()
+    # the case's table at alpha = q - 2, then D_z, D_zbar and D_x one level up
+    assert made == [1.0, 2.0, 2.0, 2.0]
+
+
+def test_counterexample_dx_equals_descente_x():
+    for case in ("i", "ii", "iii"):
+        table, _ = positivity.counterexample_table(case, 3, 400)
+        dz, dzbar = descente_z(table), descente_zbar(table)
+        dx = walks._descente_sum(dict(dz.entries), dzbar)
+        _same_table(dx, descente_x(table))
+        _same_table(dz, descente_z(table))  # the copy keeps D_z as it was
 
 
 # --------------------------------------------------------------------------
@@ -219,6 +261,65 @@ def test_nonnegativity_violations_equal_the_sorted_scan():
         assert [(m, n, repr(v)) for m, n, v in got] == [(m, n, repr(v)) for m, n, v in want]
 
 
+TOL = 1e-10
+_BEYOND = float(np.nextafter(TOL, 1.0))
+_GATE_SPECIALS = [
+    complex("nan"), complex(0.0, float("nan")), complex(float("inf"), 0.0), complex(float("-inf"), 0.0),
+    complex(0.0, float("inf")), complex(0.0, float("-inf")), complex(0.0, 0.0), complex(-0.0, -0.0),
+    complex(-TOL, TOL), complex(-TOL, -TOL), complex(TOL, -TOL), complex(-_BEYOND, 0.0), complex(0.0, _BEYOND),
+]
+
+
+def _gate_tables() -> list:
+    """Empty, one-entry and 4,225-entry (65 x 65) tables, clean and with the specials."""
+    big = family_coefficients(make_family("exponential", 3, {}), 64, 64)
+    assert len(big) == 4225
+    spotted = dict(big.entries)
+    for i, v in enumerate(_GATE_SPECIALS):
+        spotted[(5 * i % 65, 7 * i % 65)] = v
+    tables = [CoefficientTable(alpha=1.0), big, CoefficientTable(alpha=1.0, entries=spotted)]
+    return tables + [CoefficientTable(alpha=1.0, entries={(2, 3): v}) for v in _GATE_SPECIALS]
+
+
+@pytest.mark.parametrize("tol", [0.0, TOL, 0.5])
+def test_one_gate_equals_the_sorted_scan(tol):
+    for table in _gate_tables():
+        want = [(m, n, v) for (m, n), v in table.sorted_items()
+                if not (abs(v.imag) <= tol and v.real >= -tol)]
+        report = positivity.is_pd(table, tol)
+        assert report.ok == (not want)
+        assert [(m, n, repr(v)) for m, n, v in report.violations] == [(m, n, repr(v)) for m, n, v in want]
+        try:
+            total = coefficient_sum_loop(table, tol)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                quadrature.coefficient_sum(table, tol)
+            assert str(got.value) == str(exc)
+        else:
+            assert repr(quadrature.coefficient_sum(table, tol)) == repr(total)
+
+
+def test_is_pd_and_coefficient_sum_share_one_gate(monkeypatch):
+    assert positivity.nonnegativity_gate is quadrature.nonnegativity_gate
+    gate = quadrature.nonnegativity_gate
+    seen = []
+
+    def recording(table, tol):
+        seen.append((table, tol))
+        return gate(table, tol)
+
+    def refuse(self, tol):
+        raise AssertionError("a table the numpy pass clears was scanned entry by entry")
+
+    monkeypatch.setattr(quadrature, "nonnegativity_gate", recording)
+    monkeypatch.setattr(positivity, "nonnegativity_gate", recording)
+    monkeypatch.setattr(CoefficientTable, "nonnegativity_violations", refuse)
+    table = family_coefficients(make_family("exponential", 3, {}), 8, 8)
+    assert positivity.is_pd(table, 1e-9).ok
+    quadrature.coefficient_sum(table, 1e-8)
+    assert [(t is table, tol) for t, tol in seen] == [(True, 1e-9), (True, 1e-8)]
+
+
 # --------------------------------------------------------------------------
 # spd_verdict: one residue set per modulus, same verdict as the (N, j) scan
 
@@ -298,3 +399,45 @@ def test_plot_data_rows_equal_one_repr_per_row(grid, tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert out.read_text() == _plot_rows_reference(lambda z: eval_family(spec, z), grid)
+
+
+# --------------------------------------------------------------------------
+# an unusable --out is refused before the kernel is evaluated
+
+_WRITERS = {
+    "plot-data": ["plot-data", "--builtin", "exponential", "--q", "2", "--grid", "1000"],
+    "expand": ["expand", "--builtin", "exponential", "--q", "2", "--mmax", "4", "--nmax", "4"],
+}
+
+
+def _refuse_kernel(monkeypatch, exc):
+    def refuse(*_):
+        raise exc
+
+    monkeypatch.setattr(cli, "eval_family", refuse)
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent", "file parent", "empty"])
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_an_unusable_out_is_refused_before_any_evaluation(command, where, tmp_path, capsys, monkeypatch):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("keep")
+    out = {"directory": tmp_path / "dir", "missing parent": tmp_path / "none" / "o",
+           "file parent": tmp_path / "file" / "o", "empty": ""}[where]
+    with pytest.raises(OSError) as opened:
+        open(out, "w")
+    _refuse_kernel(monkeypatch, AssertionError("the kernel was evaluated"))
+    assert cli.main(_WRITERS[command] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {opened.value}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert not any((tmp_path / "dir").iterdir()) and (tmp_path / "file").read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_a_refused_request_leaves_an_existing_out_untouched(command, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    out.write_text("keep")
+    _refuse_kernel(monkeypatch, DomainError("kernel refused"))
+    assert cli.main(_WRITERS[command] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: kernel refused\n"
+    assert out.read_text() == "keep"
