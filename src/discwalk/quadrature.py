@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .errors import CapacityError, DiscWalkError, DomainError
-from .special import disc_norm_h_rows, ensure_in_disk, jacobi_R_all
+from .special import disc_norm_h_rows, ensure_in_disk, jacobi_R_all, jacobi_R_blocks
 from .tables import CoefficientTable
 
 
@@ -60,6 +60,15 @@ class DiskRule:
 #: largest radial order whose dense n x n Jacobi matrix is built: at the
 #: budget, the matrix and eigvalsh's copy of it take about 65 MB and 1.3 s
 _RADIAL_BUDGET = 2048
+
+#: most nodes (radial x angular) in one rule: the largest default rule,
+#: 2048 x 4088, fits; at the budget the node grid and the kernel's values on
+#: it take about 134 MB each
+_NODE_BUDGET = 1 << 23
+
+#: bytes of Jacobi rows one block of ``expand``'s radial sums holds: at
+#: D <= 32 the whole table is one block
+_BLOCK_BYTES = 1 << 20
 
 #: radial rules kept per process: at most _RADIAL_BUDGET nodes and weights
 #: each, so at most 32 KB per rule and 2 MB in all
@@ -155,7 +164,8 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 def build_rule(alpha: float, radial_order: int, angular_order: int) -> DiskRule:
     """Gauss-Jacobi (radial) x equispaced-trapezoid (angular) rule for dnu_alpha.
 
-    A radial order over ``_RADIAL_BUDGET`` raises ``CapacityError``.
+    A radial order over ``_RADIAL_BUDGET``, or more than ``_NODE_BUDGET``
+    nodes, raises ``CapacityError`` before anything is allocated.
     """
     if not alpha > -1.0:
         raise DomainError(f"measure parameter must exceed -1, got alpha = {alpha}")
@@ -165,6 +175,10 @@ def build_rule(alpha: float, radial_order: int, angular_order: int) -> DiskRule:
         raise DomainError("quadrature orders must be at least 1")
     if radial_order > _RADIAL_BUDGET:
         raise CapacityError(f"radial order {radial_order} exceeds the Jacobi matrix budget of {_RADIAL_BUDGET}")
+    if int(radial_order) * int(angular_order) > _NODE_BUDGET:  # Python ints: numpy ones could wrap
+        raise CapacityError(
+            f"rule of {radial_order} x {angular_order} nodes exceeds the node budget of {_NODE_BUDGET}"
+        )
     u, radial_w = _gauss_jacobi(int(radial_order), float(alpha))
     return DiskRule(
         alpha=float(alpha),
@@ -190,9 +204,11 @@ def _values_on(f, z: np.ndarray) -> np.ndarray:
     """Evaluate f on an array of points in one call.
 
     ``f`` must accept an ndarray of points and return values of the same
-    shape; a scalar result (a constant kernel) is broadcast.  A
-    :class:`DiscWalkError` raised by ``f`` propagates unchanged; any other
-    failure to evaluate on an array is a :class:`DomainError`.
+    shape; a scalar result (a constant kernel) is broadcast into a new array.
+    A complex array of the right shape is returned as it is, not copied, so
+    callers only read it.  A :class:`DiscWalkError` raised by ``f``
+    propagates unchanged; any other failure to evaluate on an array is a
+    :class:`DomainError`.
     """
     try:
         out = f(z)
@@ -201,7 +217,8 @@ def _values_on(f, z: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise DomainError(f"kernel callable must accept an ndarray of points: {exc}") from exc
     try:
-        return np.array(np.broadcast_to(np.asarray(out, dtype=complex), z.shape))
+        vals = np.asarray(out, dtype=complex)
+        return vals if vals.shape == z.shape else np.array(np.broadcast_to(vals, z.shape))
     except (TypeError, ValueError) as exc:
         raise DomainError(
             f"kernel callable returned shape {np.shape(out)} for {z.shape} points"
@@ -218,6 +235,25 @@ def _check_capacity(rule: DiskRule, m_max: int, n_max: int) -> None:
         )
 
 
+def _fourier_stack(f, rule: DiskRule, high: int) -> np.ndarray:
+    """The angular phase of :func:`expand`: the Fourier sums of frequencies
+    +|d| and -|d|, |d| <= high, each scaled by r^|d| and the radial weights,
+    as a real (|d|, R, 4) stack of (Re +|d|, Im +|d|, Re -|d|, Im -|d|).
+    The kernel values and their FFT are freed on return, before the radial
+    sums."""
+    # sum_k f(r, theta_k) e^{-i d theta_k} / K is FFT bin d mod K; the capacity
+    # check makes K > 2 high, so the bins of +-|d| are distinct
+    K = rule.angular_order
+    fourier = np.fft.fft(_values_on(f, rule.grid()), axis=1)  # (R, K)
+    betas = np.arange(high + 1)
+    scale = rule.radial_nodes ** betas[:, None] * (rule.radial_weights / K)
+    # the complex products of +|d| and -|d| side by side are the stack's 4 reals
+    both = np.empty((high + 1, rule.radial_order, 2), dtype=complex)
+    np.multiply(fourier[:, : high + 1].T, scale, out=both[..., 0])
+    np.multiply(fourier[:, -betas % K].T, scale, out=both[..., 1])
+    return both.view(float)
+
+
 def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None) -> CoefficientTable:
     """Extract all coefficients with m <= m_max, n <= n_max of f at parameter alpha.
 
@@ -225,11 +261,18 @@ def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None
     ndarray input.  Equivalent to one Gauss sum per index (``expand_loop`` in
     tests/helpers.py), but exploits the tensor structure of the rule: one FFT
     over the angular nodes gives every Fourier sum (frequency d = m - n in bin
-    d mod K), r^|d| and the radial weights scale the columns of +-|d|, and
-    one batched product against Jacobi rows computed for every |d| in a
-    single recurrence, each |d| only up to the degree it reads, gives every
-    radial Gauss sum.  The sums round differently from the per-entry ones,
-    within a few eps times h_{m,n} sum_i |w_i f(z_i)|.
+    d mod K), and r^|d| and the radial weights scale the columns of +-|d|.
+    One Jacobi recurrence then runs for every |d| at once, each |d| only up
+    to the degree it reads, and yields its rows in blocks of consecutive
+    degrees (``jacobi_R_blocks``); each block, as soon as it is built, goes
+    through one batched product with the scaled columns of the |d| it holds,
+    which gives those degrees' radial Gauss sums.  Memory is O(D^2) for
+    D = max(m_max, n_max): the kernel values on the grid, and one block of
+    about ``_BLOCK_BYTES`` (at least two degrees).  Every block has two or
+    more rows, so the sums are bit-equal to one product of the whole Jacobi
+    table (``expand_one_block`` in tests/helpers.py).  They round
+    differently from the per-entry ones, within a few eps times
+    h_{m,n} sum_i |w_i f(z_i)|.
 
     The capacity check guarantees exactness for polynomial f up to the table
     degrees; for non-polynomial f the rule must also resolve f's own spectrum
@@ -244,24 +287,16 @@ def expand(f, alpha: float, m_max: int, n_max: int, rule: DiskRule | None = None
         raise DomainError(f"rule has alpha = {rule.alpha}, requested {alpha}")
     _check_capacity(rule, m_max, n_max)
 
-    vals = _values_on(f, rule.grid())                      # (R, K)
-    # sum_k f(r, theta_k) e^{-i d theta_k} / K is FFT bin d mod K; the capacity
-    # check makes K > 2 max(m_max, n_max), so the bins of +-|d| are distinct
-    K = rule.angular_order
-    fourier = np.fft.fft(vals, axis=1)
     high, kmax = max(m_max, n_max), min(m_max, n_max)
-    betas = np.arange(high + 1)
-    scale = rule.radial_nodes ** betas[:, None] * (rule.radial_weights / K)
-    pos = fourier[:, betas].T * scale                      # (|d|, R): d = +b
-    neg = fourier[:, -betas % K].T * scale                 # (|d|, R): d = -b
-    stack = np.stack([pos.real, pos.imag, neg.real, neg.imag], axis=-1)
-
+    stack = _fourier_stack(f, rule, high)
     # frequency d reads rows k < k_d only, so |d| needs degrees up to
-    # min(high - |d|, kmax)
+    # min(high - |d|, kmax); sums[|d|, k] above that stays unread
+    betas = np.arange(high + 1)
     t = np.clip(2.0 * rule.radial_nodes**2 - 1.0, -1.0, 1.0)
-    jac = jacobi_R_all(kmax, alpha, betas, t, np.minimum(high - betas, kmax))  # (k, |d|, R)
-    # every radial Gauss sum in one batched product against the real stack
-    sums = np.matmul(jac.transpose(1, 0, 2), stack)        # (|d|, k, 4)
+    sums = np.zeros((high + 1, kmax + 1, 4))
+    for j0, rows in jacobi_R_blocks(kmax, alpha, betas, t, np.minimum(high - betas, kmax), _BLOCK_BYTES):
+        live = rows.shape[1]  # rows is (k, |d|, R), holding the |d| that read degree j0
+        np.matmul(rows.transpose(1, 0, 2), stack[:live], out=sums[:live, j0 : j0 + len(rows)])
     acc = np.stack([sums[..., 0] + 1j * sums[..., 1], sums[..., 2] + 1j * sums[..., 3]])
 
     m = np.arange(m_max + 1)[:, None]

@@ -67,64 +67,110 @@ def _step_coefficients(j, alpha: float, beta):
     return c1, c2, c3, c4
 
 
-def _jacobi_p_rows(kmax: int, alpha: float, beta, t: np.ndarray, top=None) -> tuple[np.ndarray, list[int]]:
-    """Unnormalized Jacobi polynomials P_j^(alpha,beta)(t), rows j = 0..kmax,
-    and the length of the live prefix of each row.
+def _block_plan(live: list[int], row_bytes: int, block_bytes) -> list[tuple[int, int]]:
+    """Degree ranges [j0, j1) of the blocks: one block when ``block_bytes`` is
+    None, else as many rows as fit in ``block_bytes`` together with the two
+    carried rows, at the width live[j0], and never fewer than two rows.  One
+    row would reach numpy's matmul as a vector, which BLAS sums in another
+    order than a matrix product, so a last single row joins the block before it."""
+    end = len(live)
+    if block_bytes is None:
+        return [(0, end)]
+    plan, j0 = [], 0
+    while j0 < end:
+        j1 = min(end, j0 + max(2, block_bytes // max(1, live[j0] * row_bytes) - 2))
+        if j1 == end - 1:
+            j1 = end
+        plan.append((j0, j1))
+        j0 = j1
+    return plan
 
-    ``beta`` is a scalar (result shape (kmax+1, len(t))) or a 1-d array
-    (result shape (kmax+1, len(beta), len(t))); every beta runs through the
-    same recurrence step, elementwise with the scalar arithmetic.  The
-    coefficients of every step are formed before the loop, for an array of
-    beta in one broadcast.  ``top`` (array beta only) is a nonincreasing
-    degree per beta: step j updates the betas with top >= j, a prefix, and
-    the rows above a beta's top stay zero.  Ascending three-term recurrence;
-    stable on [-1, 1] over the range tests/test_special.py checks: k and
-    beta up to 64, alpha in {0, 1, 2}, error below 1e-13 of each row's
-    maximum.
+
+def _jacobi_blocks(kmax: int, alpha: float, beta, t: np.ndarray, top, block_bytes):
+    """The ascending three-term recurrence of ``jacobi_R_blocks``, on checked
+    arguments.
+
+    One work buffer holds a block's rows, behind the two unnormalized rows the
+    block's first steps read when there is more than one block.  Before a
+    block is normalized and yielded, its last two rows, unnormalized, are
+    copied to the front of the buffer for the next block, which then
+    overwrites the rest.
     """
     array_beta = np.ndim(beta) > 0
     if array_beta:
         beta = np.asarray(beta, dtype=float)[:, None]
-    shape = (kmax + 1,) + np.broadcast_shapes(np.shape(beta), t.shape)
-    rows = np.empty(shape) if top is None else np.zeros(shape)
-    # live[j]: step j writes rows[j, :live[j]]; without top that is the whole
-    # row (a scalar beta slices the t axis)
-    live = [rows.shape[1]] * (kmax + 1)
+    width = np.broadcast_shapes(np.shape(beta), t.shape)
+    # live[j]: step j writes the prefix [:live[j]] of its row; without top
+    # that is the whole row (a scalar beta slices the t axis)
+    live = [width[0]] * (kmax + 1)
     if top is not None:
         live = np.sum(top >= np.arange(kmax + 1)[:, None], axis=1).tolist()
-    rows[0] = 1.0
-    if kmax >= 1:
-        b = beta[: live[1]] if array_beta else beta
-        rows[1, : live[1]] = 0.5 * ((alpha + b + 2.0) * t + (alpha - b))
     steps = range(2, kmax + 1)
     if array_beta:
         c = _step_coefficients(np.arange(2.0, kmax + 1)[:, None, None], alpha, beta)
         coefs = [[ci[j - 2, : live[j]] for ci in c] for j in steps]
     else:
         coefs = [_step_coefficients(j, alpha, beta) for j in steps]
-    # ((c2 + c3 t) P_{j-1} - c4 P_{j-2}) / c1 in two work buffers: the same
-    # operations in the same order as the one-expression form, so bit-equal
-    u_buf, v_buf = np.empty(rows.shape[1:]), np.empty(rows.shape[1:])
-    for j, (c1, c2, c3, c4) in zip(steps, coefs):
-        n = live[j]
-        u, v = u_buf[:n], v_buf[:n]
-        np.multiply(c3, t, out=u)
-        np.add(c2, u, out=u)
-        np.multiply(u, rows[j - 1, :n], out=u)
-        np.multiply(c4, rows[j - 2, :n], out=v)
-        np.subtract(u, v, out=u)
-        np.divide(u, c1, out=rows[j, :n])
-    return rows, live
+    # P_j(1) = (alpha+1)_j / j!, accumulated incrementally
+    norms = [1.0]
+    for j in range(1, kmax + 1):
+        norms.append(norms[-1] * ((alpha + j) / j))
+    norms = np.reshape(norms, (-1,) + (1,) * len(width))
+    cell = math.prod(width[1:])  # values per beta in a row
+    plan = _block_plan(live, 8 * cell, block_bytes)
+    carry = 2 if len(plan) > 1 else 0
+    flat = np.empty(max((j1 - j0 + carry) * live[j0] for j0, j1 in plan) * cell)
+    u_buf, v_buf = np.empty(width), np.empty(width)
+    for j0, j1 in plan:
+        size = live[j0]
+        work = flat[: (j1 - j0 + carry) * size * cell].reshape((j1 - j0 + carry, size) + width[1:])
+        for i, j in enumerate(range(j0, j1), start=carry):
+            n, row = live[j], work[i]
+            if j == 0:
+                row[:] = 1.0
+            elif j == 1:
+                b = beta[:n] if array_beta else beta
+                row[:n] = 0.5 * ((alpha + b + 2.0) * t + (alpha - b))
+            else:
+                # ((c2 + c3 t) P_{j-1} - c4 P_{j-2}) / c1 in two work buffers: the
+                # same operations in the same order as the one-expression form
+                c1, c2, c3, c4 = coefs[j - 2]
+                u, v = u_buf[:n], v_buf[:n]
+                np.multiply(c3, t, out=u)
+                np.add(c2, u, out=u)
+                np.multiply(u, work[i - 1, :n], out=u)
+                np.multiply(c4, work[i - 2, :n], out=v)
+                np.subtract(u, v, out=u)
+                np.divide(u, c1, out=row[:n])
+            if n < size:
+                row[n:] = 0.0
+        if j1 <= kmax:
+            # the front of the buffer is free, and a block of two or more rows
+            # lies wholly behind it
+            n = live[j1]
+            flat[: 2 * n * cell].reshape((2, n) + width[1:])[...] = work[-2:, :n]
+        rows = work[carry:]
+        rows /= norms[j0:j1]
+        yield j0, rows
 
 
-def jacobi_R_all(kmax: int, alpha: float, beta, t, top=None) -> np.ndarray:
-    """Normalized Jacobi values R_j(t) = P_j(t)/P_j(1) for all j = 0..kmax.
+def jacobi_R_blocks(kmax: int, alpha: float, beta, t, top=None, block_bytes=None):
+    """Normalized Jacobi values R_j(t) = P_j(t)/P_j(1), j = 0..kmax, in blocks
+    of consecutive degrees, from one recurrence.
 
-    ``t`` may be scalar or 1-d; the result has shape (kmax+1, len(t)).  An
-    array of ``beta`` runs all of them in one recurrence and gives shape
-    (kmax+1, len(beta), len(t)), bit-equal to one call per beta.  With an
-    array ``beta``, ``top`` may give a nonincreasing top degree per beta:
-    rows up to it are bit-equal to the full pass, and rows above it are zero.
+    Returns an iterator of ``(j0, rows)``, where ``rows[i]`` holds degree
+    j0 + i.  ``t`` may be scalar or 1-d.  ``beta`` is a scalar (``rows`` of
+    shape (n, len(t))) or a 1-d array (shape (n, live, len(t))), every beta
+    run through the same step, elementwise with the scalar arithmetic.
+    ``top`` (array beta only) gives a nonincreasing top degree per beta; a
+    block then holds only the betas whose top reaches its first degree j0,
+    a prefix, and its entries above a beta's top are zero.  ``block_bytes``
+    None gives one block; otherwise each block holds as many rows as fit in
+    about that many bytes, and at least two.  Every block is a view of one
+    work buffer that the next block overwrites, so use each before asking
+    for the next.  Stable on [-1, 1] over the range tests/test_special.py
+    checks: k and beta up to 64, alpha in {0, 1, 2}, error below 1e-13 of
+    each row's maximum.
     """
     if kmax < 0:
         raise DomainError(f"degree must be nonnegative, got {kmax}")
@@ -138,17 +184,20 @@ def jacobi_R_all(kmax: int, alpha: float, beta, t, top=None) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     if arr.size and not (high := float(np.max(np.abs(arr)))) <= 1.0 + BOUNDARY_EPS:
         raise DomainError(f"Jacobi argument outside [-1, 1]: {high!r}")
-    arr = np.clip(arr, -1.0, 1.0)
-    rows, live = _jacobi_p_rows(kmax, alpha, beta, arr, top)
-    # P_j(1) = (alpha+1)_j / j!, accumulated incrementally
-    norms = [1.0]
-    for j in range(1, kmax + 1):
-        norms.append(norms[-1] * ((alpha + j) / j))
-    if top is None:
-        rows[1:] /= np.reshape(norms[1:], (-1,) + (1,) * (rows.ndim - 1))
-    else:  # only the live prefix: the rows above each beta's top are zero
-        for j in range(1, kmax + 1):
-            rows[j, : live[j]] /= norms[j]
+    return _jacobi_blocks(kmax, alpha, beta, np.clip(arr, -1.0, 1.0), top, block_bytes)
+
+
+def jacobi_R_all(kmax: int, alpha: float, beta, t, top=None) -> np.ndarray:
+    """Normalized Jacobi values R_j(t) = P_j(t)/P_j(1) for all j = 0..kmax.
+
+    ``t`` may be scalar or 1-d; the result has shape (kmax+1, len(t)).  An
+    array of ``beta`` runs all of them in one recurrence and gives shape
+    (kmax+1, len(beta), len(t)), bit-equal to one call per beta.  With an
+    array ``beta``, ``top`` may give a nonincreasing top degree per beta:
+    rows up to it are bit-equal to the full pass, and rows above it are zero.
+    This is the single block of :func:`jacobi_R_blocks`.
+    """
+    ((_, rows),) = jacobi_R_blocks(kmax, alpha, beta, t, top)
     return rows
 
 

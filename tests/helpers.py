@@ -32,7 +32,7 @@ from discwalk import (
 from discwalk.families import _grid_entries
 from discwalk.positivity import SpdVerdict, intersects_progression
 from discwalk.quadrature import DiskRule, _values_on
-from discwalk.special import _require_index, c_denominator, ensure_in_disk
+from discwalk.special import _require_index, c_denominator, disc_norm_h_rows, ensure_in_disk
 
 
 def wirtinger_dz(f, z: complex, h: float = 1e-5) -> complex:
@@ -343,6 +343,34 @@ def expand_loop(f, alpha: float, m_max: int, n_max: int, rule=None) -> Coefficie
             radial = jac[abs(d)][min(m, n)] * rule.radial_nodes ** abs(d)
             acc = np.sum(rw * radial * fourier[:, d + n_max])
             entries[(m, n)] = complex(disc_norm_h(m, n, alpha) * acc)
+    return CoefficientTable(alpha=float(alpha), entries=entries, source="extracted")
+
+
+def expand_one_block(f, alpha: float, m_max: int, n_max: int, rule=None) -> CoefficientTable:
+    """``expand`` with its radial sums as one batched product of the whole
+    Jacobi table, (k, |d|, R) with the rows above each |d|'s top degree zero,
+    which holds O(D^3) values.  This is the form ``expand`` replaced when it
+    came to sum the rows block by block as the recurrence yields them; the
+    two tables must be equal bit for bit (tests/test_extraction_path.py)."""
+    if rule is None:
+        rule = default_rule(alpha, m_max, n_max)
+    vals = _values_on(f, rule.grid())
+    K = rule.angular_order
+    fourier = np.fft.fft(vals, axis=1)
+    high, kmax = max(m_max, n_max), min(m_max, n_max)
+    betas = np.arange(high + 1)
+    scale = rule.radial_nodes ** betas[:, None] * (rule.radial_weights / K)
+    pos = fourier[:, betas].T * scale
+    neg = fourier[:, -betas % K].T * scale
+    stack = np.stack([pos.real, pos.imag, neg.real, neg.imag], axis=-1)
+    t = np.clip(2.0 * rule.radial_nodes**2 - 1.0, -1.0, 1.0)
+    jac = jacobi_R_all(kmax, alpha, betas, t, np.minimum(high - betas, kmax))
+    sums = np.matmul(jac.transpose(1, 0, 2), stack)
+    acc = np.stack([sums[..., 0] + 1j * sums[..., 1], sums[..., 2] + 1j * sums[..., 3]])
+    m = np.arange(m_max + 1)[:, None]
+    n = np.arange(n_max + 1)[None, :]
+    values = disc_norm_h_rows(m_max, n_max, alpha) * acc[(m < n).astype(int), np.abs(m - n), np.minimum(m, n)]
+    entries = {(i, k): v for (i, k), v in zip(np.ndindex(m_max + 1, n_max + 1), values.ravel().tolist())}
     return CoefficientTable(alpha=float(alpha), entries=entries, source="extracted")
 
 

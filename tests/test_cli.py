@@ -114,6 +114,18 @@ def test_expand_refuses_a_radial_order_past_the_budget(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+def test_expand_refuses_a_rule_past_the_node_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(quadrature, "_gauss_jacobi", None)  # the refusal comes before any work
+    out = tmp_path / "x.json"
+    rc, stdout, stderr = run(
+        capsys, "expand", "--builtin", "exponential", "--q", "3", "--mmax", "2", "--nmax", "2",
+        "--angular-order", "100000000000", "--out", str(out),
+    )
+    assert (rc, stdout) == (3, "")
+    assert stderr == f"error: rule of 12 x 100000000000 nodes exceeds the node budget of {quadrature._NODE_BUDGET}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--radial-order", "--angular-order"])
 @pytest.mark.parametrize("order", ["0", "-1"])
 def test_expand_refuses_a_quadrature_order_below_one(tmp_path, capsys, flag, order):

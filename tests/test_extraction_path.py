@@ -4,6 +4,7 @@ the non-finite inputs that path must refuse."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ from discwalk import (
     sigma_2q,
     synthesize,
 )
-from discwalk.special import disc_norm_h_rows
-from helpers import expand_loop, jacobi_rows_loop
+from discwalk.special import _block_plan, disc_norm_h_rows, jacobi_R_blocks
+from helpers import expand_loop, expand_one_block, jacobi_rows_loop
 
 
 def _bumpy(z):
@@ -151,16 +152,95 @@ def test_poisson_table_mass_is_the_value_at_one(q):
 
 def test_expand_runs_one_jacobi_recurrence(monkeypatch):
     calls = []
-    real = quadrature.jacobi_R_all
+    real = quadrature.jacobi_R_blocks
 
     def counting(*args):
         calls.append(args[:3])
         return real(*args)
 
-    monkeypatch.setattr(quadrature, "jacobi_R_all", counting)
+    monkeypatch.setattr(quadrature, "jacobi_R_blocks", counting)
     expand(_bumpy, 1.0, 9, 4)
     assert len(calls) == 1
     assert list(calls[0][2]) == list(range(10))
+
+
+def _assert_same_table(a: CoefficientTable, b: CoefficientTable) -> None:
+    assert (a.alpha, a.source) == (b.alpha, b.source)
+    assert repr(a.entries) == repr(b.entries)  # keys, order and every bit, signed zeros too
+
+
+#: (38, 38), (87, 87) and (9, 96) would end in a block of one row at the
+#: default block budget, had the last row not joined the block before it
+_BLOCK_SHAPES = [(0, 0), (1, 0), (9, 4), (4, 9), (16, 16), (17, 17), (33, 33), (38, 38), (64, 64), (87, 87), (9, 96)]
+
+
+@pytest.mark.parametrize("m_max, n_max", _BLOCK_SHAPES)
+@pytest.mark.parametrize("alpha", [-0.5, 0.7])
+def test_expand_is_bit_equal_to_the_one_block_product(alpha, m_max, n_max):
+    _assert_same_table(expand(_bumpy, alpha, m_max, n_max), expand_one_block(_bumpy, alpha, m_max, n_max))
+
+
+@pytest.mark.parametrize("m_max, n_max", _BLOCK_SHAPES)
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_expand_of_families_is_bit_equal_to_the_one_block_product(q, m_max, n_max):
+    for spec in (Exponential(q=q), make_family("aktas", q, {"t": 0.3})):
+        f = lambda z: eval_family(spec, z)  # noqa: E731
+        _assert_same_table(expand(f, q - 2.0, m_max, n_max), expand_one_block(f, q - 2.0, m_max, n_max))
+
+
+@pytest.mark.parametrize("budget", [1, 6000, 40000])
+@pytest.mark.parametrize("m_max, n_max", [(9, 4), (4, 9), (16, 16), (17, 17), (33, 33)])
+def test_expand_in_small_blocks_is_bit_equal_to_the_one_block_product(monkeypatch, budget, m_max, n_max):
+    # budget 1 gives blocks of two rows, and of three where a row is left over
+    monkeypatch.setattr(quadrature, "_BLOCK_BYTES", budget)
+    for alpha in (-0.5, 0.7, 2.0):
+        _assert_same_table(expand(_bumpy, alpha, m_max, n_max), expand_one_block(_bumpy, alpha, m_max, n_max))
+
+
+def test_expand_at_degree_200_holds_no_cubic_block():
+    # the whole Jacobi table of D = 200 takes 126 MiB, and the traced peak with it was 149 MiB
+    spec = Exponential(q=3)
+    tracemalloc.start()
+    try:
+        expand(lambda z: eval_family(spec, z), 1.0, 200, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.7])
+@pytest.mark.parametrize("kmax, high", [(0, 0), (1, 5), (4, 9), (17, 17), (17, 40), (64, 64)])
+@pytest.mark.parametrize("block_bytes", [None, 1, 3000, 20000])
+def test_jacobi_R_blocks_are_slices_of_the_full_table(alpha, kmax, high, block_bytes):
+    betas = np.arange(high + 1)
+    top = np.minimum(high - betas, kmax)
+    full = jacobi_R_all(kmax, alpha, betas, _JACOBI_T, top)
+    end = 0
+    for j0, rows in jacobi_R_blocks(kmax, alpha, betas, _JACOBI_T, top, block_bytes):
+        live = rows.shape[1]
+        assert j0 == end and (len(rows) >= 2 or kmax == 0)
+        assert live == np.sum(top >= j0)  # the betas that read degree j0
+        assert np.array_equal(rows, full[j0 : j0 + len(rows), :live])
+        end = j0 + len(rows)
+    assert end == kmax + 1
+
+
+def test_jacobi_R_blocks_of_a_scalar_beta_are_slices_of_the_full_table():
+    full = jacobi_R_all(30, 0.7, 2.5, _JACOBI_T)
+    blocks = [rows.copy() for _, rows in jacobi_R_blocks(30, 0.7, 2.5, _JACOBI_T, None, 1000)]
+    assert len(blocks) > 1
+    assert np.array_equal(np.concatenate(blocks), full)
+
+
+def test_block_plan_keeps_two_rows_and_the_byte_budget():
+    assert _block_plan([5] * 7, 8, None) == [(0, 7)]
+    # 4 rows with the 2 carried ones fit 6 * 5 * 8 = 240 bytes; the last row joins the block before it
+    assert _block_plan([5] * 9, 8, 240) == [(0, 4), (4, 9)]
+    assert _block_plan([5] * 9, 8, 1) == [(0, 2), (2, 4), (4, 6), (6, 9)]
+    # a block's width is that of its first degree
+    assert _block_plan([10, 10, 5, 5, 5, 5, 5, 5], 8, 320) == [(0, 2), (2, 8)]
+    assert _block_plan([3], 8, 1) == [(0, 1)]
 
 
 def test_disc_norm_h_rows_equal_disc_norm_h():

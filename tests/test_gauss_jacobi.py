@@ -16,6 +16,7 @@ from discwalk import (
     DomainError,
     Exponential,
     build_rule,
+    default_rule,
     eval_family,
     expand,
     family_coefficients,
@@ -77,6 +78,32 @@ def test_radial_budget_is_inclusive(monkeypatch):
     assert build_rule(0.0, 8, 4).radial_nodes.size == 8
     with pytest.raises(CapacityError):
         build_rule(0.0, 9, 4)
+
+
+def test_rule_past_the_node_budget_is_refused_before_any_work(monkeypatch):
+    def no_rule(*args):
+        raise AssertionError("the rule was built")
+
+    monkeypatch.setattr(quadrature, "_gauss_jacobi", no_rule)
+    with pytest.raises(CapacityError) as info:
+        build_rule(0.0, 12, 100_000_000_000)
+    assert str(info.value) == (
+        f"rule of 12 x 100000000000 nodes exceeds the node budget of {quadrature._NODE_BUDGET}"
+    )
+    with pytest.raises(CapacityError):  # 4 * 2^62 wraps to 0 in int64
+        build_rule(0.0, np.int64(4), np.int64(2**62))
+
+
+def test_node_budget_is_inclusive_and_admits_every_default_rule(monkeypatch):
+    # a stand-in radial rule, so that no 2048 x 2048 Jacobi matrix is solved
+    monkeypatch.setattr(quadrature, "_gauss_jacobi", lambda n, alpha: (np.zeros(n), np.full(n, 1.0 / n)))
+    largest = default_rule(0.0, quadrature._RADIAL_BUDGET - 8, 0)  # the largest degree the radial budget admits
+    assert (largest.radial_order, largest.angular_order) == (2048, 4088)
+    assert default_rule(0.0, 1020, 1020).angular_order == 4088
+    monkeypatch.setattr(quadrature, "_NODE_BUDGET", 24)
+    assert build_rule(0.0, 3, 8).nodes.size == 24
+    with pytest.raises(CapacityError):
+        build_rule(0.0, 5, 5)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
