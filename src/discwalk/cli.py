@@ -55,7 +55,7 @@ from .positivity import (
     sample_sphere,
     spd_verdict,
 )
-from .quadrature import coefficient_sum, default_rule, expand, synthesize
+from .quadrature import coefficient_sum, default_rule, expand, require_bound, synthesize
 from .tables import CoefficientTable
 from .walks import _descente_sum, descente_x, descente_z, descente_zbar, montee_z, montee_zbar
 
@@ -176,6 +176,7 @@ def _cmd_walk(args) -> int:
 def _cmd_check(args) -> int:
     if args.set and args.infile:
         raise DomainError("--in and --set are mutually exclusive")
+    require_bound("threshold", args.threshold)  # refused whether or not the table passes the gate
     if args.set:
         s = IndexSet.loads(_read_text_or_inline(args.set))
         doc = {

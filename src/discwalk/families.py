@@ -10,7 +10,9 @@ expansions, used as ground-truth fixtures everywhere else:
                    / (Gamma(q) Gamma(m+n+q)): the geometric series of |1 - r z|^(-2q) in the product
                    coefficients, Euler's transformation (DLMF 15.8.1), Gauss's sum (DLMF 15.4.20).
 * ``exponential``: e^(z + conj z); every coefficient strictly positive:
-                   a_{m,n} = h_{m,n}^{q-2} (q-1)! * sum_j 1/(j! (m+n+q-1+j)!).
+                   a_{m,n} = h_{m,n}^{q-2} (q-1)! * sum_j 1/(j! (m+n+q-1+j)!)
+                   = (q-1)_m (q-1)_n / ((q-1)_{m+n} m! n!) * S(m+n+q-1),
+                   S(nu) = sum_j nu!/(j! (nu+j)!) = nu! I_nu(2) (DLMF 10.25.2).
 * ``aktas``:       generating-function kernel with coefficients
                    (q-1)_n t^(m+n)/(m! n!) at table key (m+n, n), 0 < t < 1.
 * ``horn``:        double hypergeometric (H4-type) kernel, coefficients
@@ -32,9 +34,9 @@ log space, so large tables underflow to zero instead of overflowing; the product
 table takes them as exact integer ratios, each entry correctly rounded.  The
 Exponential, Aktas, Horn and Lauricella tables are built from per-index arrays:
 each lgamma value and Exponential's inner series once per index, then one array
-expression per table in the operand order of the per-entry formula, with exp and
-log from ``math``.  Every entry equals that formula's value bit for bit (the test
-suite keeps the per-entry loop as its reference).
+expression per table in the operand order of the per-entry formula, and one
+``math.exp`` per entry.  Every entry equals that formula's value bit for bit (the
+test suite keeps the per-entry loop as its reference).
 """
 
 from __future__ import annotations
@@ -173,14 +175,15 @@ class Exponential(FamilySpec):
 
     def coefficients(self, m_max: int, n_max: int) -> dict:
         # a_{m,n} = h_{m,n}^{q-2} (q-1)! sum_j 1/(j! (m+n+q-1+j)!)
-        #         = h (q-1)!/nu! * sum_j nu!/(j! (nu+j)!),  nu = m+n+q-1; the
-        # prefactor is taken in log space so that no factorial overflows
-        q, alpha = self.q, family_alpha(self)
+        #         = h (q-1)!/nu! * sum_j nu!/(j! (nu+j)!),  nu = m+n+q-1, and
+        # h (q-1)!/nu! = (q-1)_m (q-1)_n / ((q-1)_{m+n} m! n!): one exp per entry of
+        # a log-space ratio, so that no factorial overflows
+        q = self.q
         series = np.array([_exponential_series(nu) for nu in range(q - 1, m_max + n_max + q)])
-        lg_nu = _lgammas(q, m_max + n_max)  # lgamma(nu + 1)
-        i = np.arange(m_max + 1)[:, None] + np.arange(n_max + 1)[None, :]  # nu - (q - 1)
-        log_scale = libm_each(math.log, disc_norm_h_rows(m_max, n_max, alpha)) + math.lgamma(q) - lg_nu[i]
-        return _grid_entries((libm_each(math.exp, log_scale) * series[i]).astype(complex))
+        lp, lg = _log_poch(q - 1.0, m_max + n_max), _lgammas(1.0, max(m_max, n_max))
+        m, n = np.arange(m_max + 1)[:, None], np.arange(n_max + 1)[None, :]
+        log_scale = lp[m] - lg[m] + lp[n] - lg[n] - lp[m + n]
+        return _grid_entries((libm_each(math.exp, log_scale) * series[m + n]).astype(complex))
 
 
 @dataclass(frozen=True)

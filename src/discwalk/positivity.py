@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, DomainError, NotPositiveDefiniteError
-from .quadrature import _values_on, nonnegativity_gate
+from .quadrature import _values_on, nonnegativity_gate, require_bound
 from .tables import CoefficientTable, read_index
 
 
@@ -274,7 +274,8 @@ class PdReport:
 
 
 def is_pd(table: CoefficientTable, tol: float = 1e-10) -> PdReport:
-    """Nonnegativity gate: every entry must have |Im| <= tol and Re >= -tol."""
+    """Nonnegativity gate: every entry must have |Im| <= tol and Re >= -tol;
+    ``tol`` itself must be finite and nonnegative."""
     _, violations = nonnegativity_gate(table, tol)
     return PdReport(ok=not violations, violations=violations)
 
@@ -284,10 +285,9 @@ def difference_set(table: CoefficientTable, threshold: float = 0.0) -> IndexSet:
 
     The threshold defaults to 0 for exact tables and should be set explicitly
     (e.g. 1e-10) for quadrature-derived tables, where "zero" entries carry
-    roundoff noise.
+    roundoff noise.  A negative, infinite or NaN threshold is refused.
     """
-    if threshold < 0:
-        raise DomainError(f"threshold must be nonnegative, got {threshold}")
+    require_bound("threshold", threshold)
     return IndexSet.of(finite={m - n for (m, n), v in table.entries.items() if v.real > threshold})
 
 

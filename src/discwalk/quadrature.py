@@ -343,9 +343,16 @@ def synthesize(table: CoefficientTable, z):
     return complex(out.ravel()[0]) if scalar else out
 
 
+def require_bound(name: str, value: float) -> None:
+    """Refuse a tolerance or threshold that is negative, infinite or NaN."""
+    if not 0.0 <= value < np.inf:  # a NaN fails both comparisons
+        raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def nonnegativity_gate(table: CoefficientTable, tol: float) -> tuple[np.ndarray, list]:
     """The entries as one array, and those with |Im| > tol, Re < -tol or a NaN:
     one numpy pass, then the sorted per-entry scan only if that pass fails."""
+    require_bound("tolerance", tol)
     vals = np.fromiter(table.entries.values(), dtype=complex, count=len(table.entries))
     if ((np.abs(vals.imag) <= tol) & (vals.real >= -tol)).all():
         return vals, []
@@ -358,7 +365,8 @@ def coefficient_sum(table: CoefficientTable, tol: float = 1e-10) -> float:
     For expansions with nonnegative coefficients the full sum equals the
     synthesized value at z = 1, which makes partial sums a convergence
     diagnostic for truncations.  Entries with imaginary part beyond ``tol`` or
-    real part below ``-tol``, and NaN entries, are rejected.
+    real part below ``-tol``, and NaN entries, are rejected, and so is a
+    negative, infinite or NaN ``tol``.
     """
     vals, bad = nonnegativity_gate(table, tol)
     if bad:

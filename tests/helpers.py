@@ -275,6 +275,41 @@ def lauricella_f14_oracle(c: float, b: float, x1: complex, x2: complex, x3: comp
     raise AssertionError("reference F14 series did not converge")
 
 
+def lauricella_f14_rows(c: float, x1: float, x3: complex):
+    """The rows G_n = sum_p (c)_p x3^p/p! 2F1(n+p+1, c+p; c; x1) of the F14 series as
+    ``(G_0, ratio)``, G_n = G_0 ratio^n, in 40-digit mpmath numbers.  Euler's and Pfaff's
+    transformations (DLMF 15.8.1) turn each m-sum (c)_p 2F1(n+p+1, c+p; c; x1) into
+    (1 - x1)^-(n+p+1) p! P_p^(c-1, n+1-c)(X), X = (1+x1)/(1-x1), and the Jacobi generating
+    function (DLMF 18.12.1) sums p: with w = x3/(1 - x1) and rho = sqrt(1 - 2 X w + w^2),
+    G_n = (1-x1)^-(n+1) 2^n / (rho (1+rho-w)^(c-1) (1+rho+w)^(n+1-c))."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        c, x1, x3 = mp.mpf(c), mp.mpf(x1), mp.mpc(x3)
+        X, w = (1 + x1) / (1 - x1), x3 / (1 - x1)
+        rho = mp.sqrt(1 - 2 * X * w + w * w)
+        g0 = 1 / ((1 - x1) * rho * (1 + rho - w) ** (c - 1) * (1 + rho + w) ** (1 - c))
+        return g0, 2 / ((1 - x1) * (1 + rho + w))
+
+
+def lauricella_f14_n_outer_oracle(c: float, b: float, x1: float, x2: complex, x3: complex) -> complex:
+    """40-digit F14 series of the Lauricella kernel with n outermost, sum_n (b)_n x2^n/n! G_n,
+    the rows G_n from ``lauricella_f14_rows``.  This order converges wherever the evaluator
+    does, |2 x2| < |c+|, where the p-outer order of ``lauricella_f14_oracle`` needs about
+    |x2| < 1 - x1; a term below 1e-30 of the sum ends it, and a series past 2000 terms fails."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        term, ratio = lauricella_f14_rows(c, x1, x3)
+        b, x2, tiny, total = mp.mpf(b), mp.mpc(x2), mp.mpf("1e-30"), mp.mpc(0)
+        for n in range(2001):
+            total += term
+            if abs(term) <= tiny * abs(total):
+                return complex(total)
+            term *= (b + n) / (n + 1) * x2 * ratio
+    raise AssertionError("reference F14 n-series did not converge")
+
+
 def jacobi_rows_loop(kmax: int, alpha: float, beta, t: np.ndarray) -> np.ndarray:
     """Normalized Jacobi rows R_j = P_j / P_j(1), j = 0..kmax, with the
     recurrence coefficients formed inside each step and the rows divided by
@@ -435,9 +470,10 @@ def spd_verdict_loop(s):
 
 def _exponential_coefficient(q: int, m: int, n: int) -> float:
     # a_{m,n} = h_{m,n}^{q-2} (q-1)! sum_j 1/(j! (m+n+q-1+j)!)
-    #         = h (q-1)!/nu! * sum_j nu!/(j! (nu+j)!),  nu = m+n+q-1; the prefactor
-    # is taken in log space so that no factorial overflows, and the inner sum
-    # is summed to a 1e-15 relative tail (terms decay factorially).
+    #         = h (q-1)!/nu! * sum_j nu!/(j! (nu+j)!),  nu = m+n+q-1, with
+    # h (q-1)!/nu! = (q-1)_m (q-1)_n / ((q-1)_{m+n} m! n!) taken in log space so
+    # that no factorial overflows, and the inner sum summed to a 1e-15 relative
+    # tail (terms decay factorially).
     nu = m + n + q - 1
     term = 1.0
     total = 1.0
@@ -448,7 +484,10 @@ def _exponential_coefficient(q: int, m: int, n: int) -> float:
         total += term
         if term <= 1e-15 * total:
             break
-    log_scale = math.log(disc_norm_h(m, n, float(q - 2))) + math.lgamma(q) - math.lgamma(nu + 1)
+    a = q - 1.0
+    log_scale = (
+        _log_poch(a, m) - math.lgamma(m + 1) + _log_poch(a, n) - math.lgamma(n + 1) - _log_poch(a, m + n)
+    )
     return math.exp(log_scale) * total
 
 
@@ -459,9 +498,10 @@ def _log_poch(a: float, k: int) -> float:
 
 def family_coefficients_loop(spec, m_max: int, n_max: int) -> CoefficientTable:
     """Per-entry closed-form tables of Exponential, Aktas, Horn and Lauricella:
-    one inner series and five ``lgamma`` calls per entry, and the public
-    constructor.  These are the loops ``family_coefficients`` replaced; its
-    tables must reproduce them exactly."""
+    per entry, one ``math.exp`` of a sum of ``lgamma`` differences (times
+    Exponential's inner series), and the public constructor.  These are the
+    loops ``family_coefficients`` replaced; its tables must reproduce them
+    exactly."""
     q = spec.q
     alpha = float(q - 2)
     entries: dict[tuple[int, int], complex] = {}

@@ -151,6 +151,27 @@ def test_expand_refused_by_the_coefficient_sum_writes_no_table(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--in", "PD", "--threshold", "nan"],
+    ["check", "--in", "PD", "--threshold", "inf"],
+    ["check", "--in", "NEG", "--tol", "inf"],
+    ["check", "--in", "NEG", "--tol", "nan"],
+    ["counterexample", "--case", "i", "--q", "2", "--tol", "nan"],
+    ["counterexample", "--case", "i", "--q", "2", "--tol", "-1"],
+    ["expand", "--builtin", "exponential", "--q", "2", "--mmax", "2", "--nmax", "2", "--out", "OUT", "--tol", "nan"],
+])
+def test_a_nan_infinite_or_negative_tolerance_or_threshold_exits_2_with_one_line(argv, tmp_path, capsys):
+    # on the table with a -5.0 entry, --tol inf used to report PD and --tol nan every entry as a violation
+    pd, neg, out = tmp_path / "pd.json", tmp_path / "neg.json", tmp_path / "out"
+    CoefficientTable(alpha=0.0, entries={(1, 0): 1.0}).save(pd)
+    CoefficientTable(alpha=0.0, entries={(0, 0): -5.0, (1, 0): 1.0}).save(neg)
+    rc, stdout, stderr = run(capsys, *({"PD": str(pd), "NEG": str(neg), "OUT": str(out)}.get(a, a) for a in argv))
+    assert (rc, stdout) == (2, "")
+    name = argv[-2][2:] if argv[-2] == "--threshold" else "tolerance"
+    assert stderr == f"error: {name} must be finite and nonnegative, got {float(argv[-1])}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("orders", [
     [],
     ["--radial-order", "30"],

@@ -1,5 +1,6 @@
 """The six kernel families: validity domains, closed forms, expansions, patterns."""
 
+import cmath
 import math
 
 import numpy as np
@@ -35,7 +36,9 @@ from discwalk import (
 from discwalk.families import _horn_h4, _lauricella_f14
 from helpers import (
     horn_h4_oracle,
+    lauricella_f14_n_outer_oracle,
     lauricella_f14_oracle,
+    lauricella_f14_rows,
     poisson_szego_profile,
     product_coefficient_closed,
     uniform_disk_points,
@@ -172,6 +175,68 @@ def test_exponential_coefficients_match_bessel_series():
             )
             want = disc_norm_h(m, n, float(q - 2)) * math.factorial(q - 1) * s
             assert v.real == pytest.approx(want, rel=1e-14)
+
+
+def _exponential_mp(q: int, m: int, n: int):
+    """40-digit a_{m,n} = h_{m,n}^{q-2} (q-1)! I_nu(2), nu = m+n+q-1: the inner sum
+    S(nu) = sum_j nu!/(j! (nu+j)!) is nu! I_nu(2) (DLMF 10.25.2)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        nu = m + n + q - 1
+        h = mp.mpf(nu) / (q - 1) * mp.binomial(q - 2 + m, m) * mp.binomial(q - 2 + n, n)
+        return h * mp.factorial(q - 1) * mp.besseli(nu, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 8, 20])
+def test_exponential_table_matches_40_digit_bessel_values(q):
+    tab = family_coefficients(Exponential(q=q), 64, 64)
+    rng = np.random.default_rng(q)
+    seeded = [tuple(k) for k in rng.integers(0, 65, size=(100, 2)).tolist()]
+    # the corners carry the largest logs (about 560 at q = 20, where one ulp is 1.1e-13)
+    for keys, rel in ((seeded, 2e-13), ([(0, 0), (64, 0), (0, 64), (64, 64)], 5e-13)):
+        for m, n in keys:
+            want = _exponential_mp(q, m, n)
+            assert tab.get(m, n).imag == 0.0
+            assert abs(tab.get(m, n).real - want) <= rel * want, (m, n)
+
+
+def test_exponential_table_takes_one_exp_per_entry_and_no_log(monkeypatch):
+    import discwalk.families as families
+    import discwalk.special as special
+
+    calls, libm_each = {math.exp: 0, math.log: 0}, special.libm_each
+
+    def counting(fn, x):
+        calls[fn] += np.size(x)
+        return libm_each(fn, x)
+
+    monkeypatch.setattr(families, "libm_each", counting)
+    monkeypatch.setattr(special, "libm_each", counting)
+    assert len(family_coefficients(Exponential(q=3), 16, 9).entries) == 170
+    assert calls == {math.exp: 170, math.log: 0}
+
+
+def _aktas_mp(spec: Aktas, key_m: int, key_n: int):
+    """40-digit Aktas entry (q-1)_n t^(m+n)/(m! n!) at key (m+n, n)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        m, n = key_m - key_n, key_n
+        return mp.rf(spec.q - 1, n) * mp.mpf(spec.t) ** key_m / (mp.factorial(m) * mp.factorial(n))
+
+
+@pytest.mark.xfail(strict=True, reason="_log_poch and _lgammas subtract lgamma values of size q log q: "
+                   "at q = 1e9 the entries up to (6, 6) err by about 4e-6 relative")
+@pytest.mark.parametrize("spec, reference", [
+    (Exponential(q=10**9), lambda spec, m, n: _exponential_mp(spec.q, m, n)),
+    (Aktas(t=0.3, q=10**9), _aktas_mp),
+], ids=["exponential", "aktas"])
+def test_exact_tables_keep_their_digits_at_large_q(spec, reference):
+    tab = family_coefficients(spec, 6, 6)
+    for (m, n), v in tab.entries.items():
+        want = reference(spec, m, n)
+        assert abs(v.real - want) <= 1e-12 * want, (m, n)
 
 
 def test_product_table_matches_gamma_closed_form():
@@ -524,6 +589,46 @@ def test_series_scalar_arguments_give_a_complex():
     assert f == pytest.approx(
         lauricella_f14_oracle(2.0, 2.0, -0.05 + 0j, 0.1 + 0.1j, 0.05 + 0j), rel=1e-14
     )
+
+
+def _f14_far_points(count: int = 40) -> list[tuple]:
+    """Seeded points past the reach of the p-outer F14 series: |x2| from 1 - x1 up to 0.4 |c+|,
+    complex x3 up to 0.85 of the Jacobi radius, non-integer c and b."""
+    rng = np.random.default_rng(37)
+    points = []
+    while len(points) < count:
+        c, b, x1 = rng.uniform(0.2, 4.5), rng.uniform(0.5, 3.0), rng.uniform(-0.6, 0.0)
+        x3 = rng.uniform(0.3, 0.85) * (1.0 - x1) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        c_plus = 1.0 - x1 + x3 + cmath.sqrt((1.0 - x1 - x3) ** 2 - 4.0 * x1 * x3)
+        if 0.4 * abs(c_plus) > 1.0 - x1:
+            x2 = rng.uniform(1.0 - x1, 0.4 * abs(c_plus)) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            points.append((c, b, x1, x2, x3))
+    return points
+
+
+def test_f14_matches_its_n_outer_series_in_the_far_part_of_its_region():
+    for c, b, x1, x2, x3 in _f14_far_points():
+        want = lauricella_f14_n_outer_oracle(c, b, x1, x2, x3)
+        assert abs(_lauricella_f14(c, b, x1, x2, x3) - want) <= 1e-14 * abs(want), (c, b, x1, x2, x3)
+
+
+def test_f14_rows_equal_their_2f1_series_and_both_oracles_agree():
+    import mpmath as mp
+
+    # the p-series of 2F1 values at the two far points of least |x3|/(1 - x1), the fastest to sum
+    for c, _b, x1, _x2, x3 in sorted(_f14_far_points(), key=lambda pt: abs(pt[4]) / (1.0 - pt[2]))[:2]:
+        for n in (0, 3):
+            with mp.workdps(25):
+                c, total = mp.mpf(c), mp.mpc(0)
+                for p in range(1000):
+                    term = mp.rf(c, p) * mp.mpc(x3) ** p / mp.factorial(p) * mp.hyp2f1(n + p + 1, c + p, c, x1)
+                    total += term
+                    if abs(term) <= 1e-20 * abs(total):
+                        break
+                g0, ratio = lauricella_f14_rows(c, x1, x3)
+                assert abs(g0 * ratio**n - total) <= 1e-18 * abs(total)
+    near = (2.0, 2.0, -0.05, 0.1 + 0.1j, 0.05 + 0j)
+    assert lauricella_f14_n_outer_oracle(*near) == pytest.approx(lauricella_f14_oracle(*near), rel=1e-15)
 
 
 def test_series_array_with_one_diverging_point_raises():

@@ -290,6 +290,19 @@ def test_difference_set_examples():
         difference_set(t, -1.0)
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, -1e-300])
+def test_a_nan_infinite_or_negative_tolerance_or_threshold_is_refused(bound):
+    from discwalk import coefficient_sum
+
+    t = CoefficientTable(alpha=0.0, entries={(0, 0): -5.0, (1, 0): 1.0})
+    for call in (lambda: is_pd(t, tol=bound), lambda: coefficient_sum(t, tol=bound),
+                 lambda: is_spd(t, q=2, tol=bound)):
+        with pytest.raises(DomainError, match="tolerance must be finite and nonnegative"):
+            call()
+    with pytest.raises(DomainError, match="threshold must be finite and nonnegative"):
+        difference_set(t, bound)
+
+
 def test_is_spd_gates_and_declared_sets():
     t = CoefficientTable(alpha=0.0, entries={(m, 0): 2.0 ** (-m) for m in range(6)})
     # finite truncation alone cannot certify
